@@ -318,12 +318,12 @@ func BenchmarkFlatSimulation(b *testing.B) {
 
 // --- gate fusion ---
 
-func benchFusion(b *testing.B, fam string, fp core.FusePolicy) {
+func benchFusion(b *testing.B, fam string, noFuse bool) {
 	c, err := circuit.Named(fam, 16)
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := core.Options{Strategy: "dagp", Seed: 1, Fuse: fp}
+	opts := core.Options{Strategy: "dagp", Seed: 1, NoFuse: noFuse}
 	b.SetBytes(int64(c.NumGates()) * (32 << 16))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -333,9 +333,9 @@ func benchFusion(b *testing.B, fam string, fp core.FusePolicy) {
 	}
 }
 
-func BenchmarkFusedQFT(b *testing.B)     { benchFusion(b, "qft", core.FuseOn) }
-func BenchmarkUnfusedQFT(b *testing.B)   { benchFusion(b, "qft", core.FuseOff) }
-func BenchmarkFusedIsing(b *testing.B)   { benchFusion(b, "ising", core.FuseOn) }
-func BenchmarkUnfusedIsing(b *testing.B) { benchFusion(b, "ising", core.FuseOff) }
+func BenchmarkFusedQFT(b *testing.B)     { benchFusion(b, "qft", false) }
+func BenchmarkUnfusedQFT(b *testing.B)   { benchFusion(b, "qft", true) }
+func BenchmarkFusedIsing(b *testing.B)   { benchFusion(b, "ising", false) }
+func BenchmarkUnfusedIsing(b *testing.B) { benchFusion(b, "ising", true) }
 
 func geomean(xs []float64) float64 { return bench.Geomean(xs) }

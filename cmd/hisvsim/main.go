@@ -42,6 +42,7 @@ import (
 	"strings"
 
 	"hisvsim"
+	"hisvsim/internal/fuse"
 )
 
 func main() {
@@ -61,7 +62,7 @@ func main() {
 		lm2       = flag.Int("second-lm", 0, "second-level (cache) working-set limit (0 = single level)")
 		seed      = flag.Int64("seed", 1, "seed for randomized partitioners")
 		fuse      = flag.String("fuse", "auto", "gate fusion: auto, on, off")
-		fuseMax   = flag.Int("fuse-max", 0, "max fused-block support in qubits (0 = default 5)")
+		fuseMax   = flag.Int("fuse-max", 0, "max fused-block support in qubits, 0..10 (0 = default 5)")
 		verify    = flag.Bool("verify", false, "cross-check against flat simulation (doubles memory)")
 		planOnly  = flag.Bool("plan-only", false, "partition only; skip execution")
 		showParts = flag.Bool("parts", false, "print every part's gates and working set")
@@ -152,7 +153,7 @@ func main() {
 		return
 	}
 
-	fp, err := fusePolicy(*fuse)
+	noFuse, err := parseFuse(*fuse, *fuseMax)
 	if err != nil {
 		fatal(err)
 	}
@@ -174,7 +175,7 @@ func main() {
 			fatal(err)
 		}
 		runSweep(c, hisvsim.Options{
-			Noise: model, Fuse: fp, MaxFuseQubits: *fuseMax,
+			Noise: model, NoFuse: noFuse, MaxFuseQubits: *fuseMax,
 		}, obs, bindings, *traj, *noiseSeed)
 		return
 	}
@@ -190,7 +191,7 @@ func main() {
 			Backend:  *backendN,
 			Strategy: *strategy, Lm: *lm, Ranks: *ranks,
 			SecondLevelLm: *lm2, Seed: *seed,
-			Fuse: fp, MaxFuseQubits: *fuseMax, Noise: model,
+			NoFuse: noFuse, MaxFuseQubits: *fuseMax, Noise: model,
 		}
 		if isExactBackend(*backendN) {
 			runExact(c, opts, *shots, *zString, *noiseSeed, obs)
@@ -204,7 +205,7 @@ func main() {
 		Backend:  *backendN,
 		Strategy: *strategy, Lm: *lm, Ranks: *ranks,
 		SecondLevelLm: *lm2, Seed: *seed,
-		Fuse: fp, MaxFuseQubits: *fuseMax,
+		NoFuse: noFuse, MaxFuseQubits: *fuseMax,
 	})
 	if err != nil {
 		fatal(err)
@@ -646,17 +647,18 @@ func runSweep(c *hisvsim.Circuit, opts hisvsim.Options, obs []hisvsim.PauliStrin
 	fmt.Printf("minimum: point %d with energy %.9f\n", best, bestE)
 }
 
-func fusePolicy(s string) (hisvsim.FusePolicy, error) {
+// parseFuse validates -fuse (auto and on both fuse) and -fuse-max,
+// returning whether fusion is off.
+func parseFuse(s string, max int) (bool, error) {
 	switch s {
-	case "auto", "":
-		return hisvsim.FuseAuto, nil
-	case "on":
-		return hisvsim.FuseOn, nil
-	case "off":
-		return hisvsim.FuseOff, nil
+	case "auto", "", "on", "off":
 	default:
-		return 0, fmt.Errorf("unknown -fuse value %q (want auto, on, or off)", s)
+		return false, fmt.Errorf("unknown -fuse value %q (want auto, on, or off)", s)
 	}
+	if err := fuse.CheckMaxQubits(max); err != nil {
+		return false, fmt.Errorf("-fuse-max: %w", err)
+	}
+	return s == "off", nil
 }
 
 func lmOrDefault(lm, n, ranks int) int {

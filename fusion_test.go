@@ -32,13 +32,12 @@ func TestFusedMatchesUnfusedAllFamilies(t *testing.T) {
 			for _, ranks := range []int{1, 4} {
 				base := Options{Strategy: strategy, Ranks: ranks, Seed: 1}
 				off := base
-				off.Fuse = FuseOff
+				off.NoFuse = true
 				want, err := Simulate(c, off)
 				if err != nil {
 					t.Fatalf("%s/%s/ranks=%d unfused: %v", fam, strategy, ranks, err)
 				}
 				on := base
-				on.Fuse = FuseOn
 				got, err := Simulate(c, on)
 				if err != nil {
 					t.Fatalf("%s/%s/ranks=%d fused: %v", fam, strategy, ranks, err)
@@ -104,13 +103,13 @@ func TestQuickFusedEqualsUnfused(t *testing.T) {
 		ranks := 1 << (uint(rBits) % 3) // 1, 2 or 4
 		c := circuit.Random(8, 60, seed)
 		lm := 8 - int(lmRaw%3)
-		off := Options{Strategy: "dagp", Ranks: ranks, Lm: lm, Seed: seed, Fuse: FuseOff}
+		off := Options{Strategy: "dagp", Ranks: ranks, Lm: lm, Seed: seed, NoFuse: true}
 		want, err := Simulate(c, off)
 		if err != nil {
 			return false
 		}
 		on := off
-		on.Fuse = FuseOn
+		on.NoFuse = false
 		got, err := Simulate(c, on)
 		if err != nil {
 			return false

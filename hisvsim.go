@@ -55,20 +55,11 @@ type Plan = partition.Plan
 type State = sv.State
 
 // Options configures Simulate. See core.Options for field documentation.
+// Gate fusion is on by default: runs of adjacent gates whose combined
+// support stays within Options.MaxFuseQubits (default 5) execute as single
+// fused kernels between communication points. Options.NoFuse runs every
+// gate as its own passthrough block instead.
 type Options = core.Options
-
-// FusePolicy selects gate fusion for Simulate (Options.Fuse). Fusion is on
-// by default (FuseAuto, the zero value): runs of adjacent gates whose
-// combined support stays within Options.MaxFuseQubits (default 5) execute
-// as single fused kernels between communication points.
-type FusePolicy = core.FusePolicy
-
-// Fusion policies for Options.Fuse.
-const (
-	FuseAuto = core.FuseAuto // fusion on with default caps (zero value)
-	FuseOn   = core.FuseOn   // fusion forced on
-	FuseOff  = core.FuseOff  // per-gate execution
-)
 
 // Result bundles the plan, final state and execution metrics.
 type Result = core.Result

@@ -53,7 +53,8 @@ type Config struct {
 	// (multi-target global gates are then unsupported).
 	KeepGates bool
 	// Fuse coalesces runs of fully-local gates between communication points
-	// into fused blocks (gates touching a global qubit stay per-gate).
+	// into fused blocks (gates touching a global qubit stay per-gate);
+	// unfused, each local run executes as one passthrough block per gate.
 	Fuse bool
 	// MaxFuseQubits caps fused-block support (0 = fuse default).
 	MaxFuseQubits int
@@ -100,42 +101,35 @@ func Run(c *circuit.Circuit, cfg Config) (*Result, error) {
 	exchanges := make([]int, cfg.Ranks)
 	gathered := make([][]complex128, cfg.Ranks)
 
-	// Pre-fuse the runs of fully-local gates between communication points
-	// once; the fused schedule is rank-independent and shared read-only.
-	type fusedRun struct {
-		blocks []fuse.Block
-		plans  []*sv.FusedPlan
-	}
-	var localRuns map[int]fusedRun // keyed by index of the run's first gate
-	if cfg.Fuse {
-		localRuns = map[int]fusedRun{}
-		runStart := -1
-		flush := func(end int) error {
-			if runStart < 0 {
-				return nil
-			}
-			blocks, err := fuse.Fuse(gates[runStart:end], fuse.Options{MaxQubits: cfg.MaxFuseQubits})
-			if err != nil {
-				return err
-			}
-			localRuns[runStart] = fusedRun{blocks: blocks, plans: fuse.Plan(blocks, l)}
-			runStart = -1
+	// Compile the runs of fully-local gates between communication points
+	// once; the programs are rank-independent and shared read-only.
+	localRuns := map[int]*fuse.Program{} // keyed by index of the run's first gate
+	runStart := -1
+	flush := func(end int) error {
+		if runStart < 0 {
 			return nil
 		}
-		for gi, g := range gates {
-			if fullyLocal(g, l) {
-				if runStart < 0 {
-					runStart = gi
-				}
-				continue
-			}
-			if err := flush(gi); err != nil {
-				return res, err
-			}
+		prog, err := fuse.Compile(gates[runStart:end], l, cfg.Fuse, fuse.Options{MaxQubits: cfg.MaxFuseQubits})
+		if err != nil {
+			return err
 		}
-		if err := flush(len(gates)); err != nil {
+		localRuns[runStart] = prog
+		runStart = -1
+		return nil
+	}
+	for gi, g := range gates {
+		if fullyLocal(g, l) {
+			if runStart < 0 {
+				runStart = gi
+			}
+			continue
+		}
+		if err := flush(gi); err != nil {
 			return res, err
 		}
+	}
+	if err := flush(len(gates)); err != nil {
+		return res, err
 	}
 
 	// gateGate latches one go/abort decision per gate index (the same
@@ -184,9 +178,9 @@ func Run(c *circuit.Circuit, cfg Config) (*Result, error) {
 			}
 			g := gates[gi]
 			if run, ok := localRuns[gi]; ok {
-				// Fused run of fully-local gates: skip past the whole run.
+				// Compiled run of fully-local gates: skip past the whole run.
 				t0 := time.Now()
-				if err := fuse.ApplyPlanned(st, run.blocks, run.plans); err != nil {
+				if err := run.Apply(st); err != nil {
 					return err
 				}
 				cm.RecordCompute(time.Since(t0).Seconds())
@@ -194,14 +188,6 @@ func Run(c *circuit.Circuit, cfg Config) (*Result, error) {
 					gi++
 				}
 				gi--
-				continue
-			}
-			if fullyLocal(g, l) {
-				t0 := time.Now()
-				if err := st.ApplyGate(g); err != nil {
-					return err
-				}
-				cm.RecordCompute(time.Since(t0).Seconds())
 				continue
 			}
 			// Split controls into local mask and global requirement.

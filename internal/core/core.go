@@ -39,22 +39,6 @@ func BackendNames() []string { return backend.Names() }
 // Backends lists every registered backend with its capabilities.
 func Backends() []backend.Info { return backend.List() }
 
-// FusePolicy selects whether executors fuse runs of adjacent gates into
-// dense/diagonal blocks. The zero value enables fusion.
-type FusePolicy int
-
-const (
-	// FuseAuto (the zero value) enables fusion with the default caps.
-	FuseAuto FusePolicy = iota
-	// FuseOn forces fusion on.
-	FuseOn
-	// FuseOff disables fusion (per-gate execution, the pre-fusion behavior).
-	FuseOff
-)
-
-// Enabled reports whether the policy turns fusion on.
-func (p FusePolicy) Enabled() bool { return p != FuseOff }
-
 // Options configures one simulation.
 type Options struct {
 	// Backend names the execution engine ("flat", "hier", "dist",
@@ -80,10 +64,12 @@ type Options struct {
 	Model mpi.CostModel
 	// SkipState skips gathering the distributed state (metrics only).
 	SkipState bool
-	// Fuse selects gate fusion (on unless FuseOff): runs of adjacent gates
-	// whose combined support stays within MaxFuseQubits execute as single
-	// fused kernels between communication/relayout points.
-	Fuse FusePolicy
+	// NoFuse disables gate fusion, so every gate runs as its own
+	// passthrough block (bit-identical to per-gate execution). By default
+	// runs of adjacent gates whose combined support stays within
+	// MaxFuseQubits execute as single fused kernels between
+	// communication/relayout points.
+	NoFuse bool
 	// MaxFuseQubits caps fused-block support (0 = defaults: 5 for dense
 	// blocks, 10 for diagonal runs; an explicit value caps both).
 	MaxFuseQubits int
@@ -159,7 +145,7 @@ func specFor(opts Options) backend.Spec {
 		Strategy: opts.Strategy, Lm: opts.Lm, Ranks: opts.Ranks,
 		SecondLevelLm: opts.SecondLevelLm, Workers: opts.Workers,
 		Seed: opts.Seed, Model: opts.Model, SkipState: opts.SkipState,
-		Fuse: opts.Fuse.Enabled(), MaxFuseQubits: opts.MaxFuseQubits,
+		Fuse: !opts.NoFuse, MaxFuseQubits: opts.MaxFuseQubits,
 	}
 }
 

@@ -54,7 +54,7 @@ func SimulateNoisyContext(ctx context.Context, c *circuit.Circuit, opts Options,
 	}
 	model := opts.Noise
 	plan, err := noise.Compile(c, model, noise.CompileOptions{
-		Fuse: opts.Fuse.Enabled(), MaxFuseQubits: opts.MaxFuseQubits,
+		Fuse: !opts.NoFuse, MaxFuseQubits: opts.MaxFuseQubits,
 	})
 	if err != nil {
 		return nil, err

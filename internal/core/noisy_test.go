@@ -41,7 +41,7 @@ func TestZeroNoiseMatchesIdealBitForBit(t *testing.T) {
 		{Strategy: "dagp", Lm: 5, Seed: 3},
 		{Strategy: "dagp", Ranks: 2, Seed: 3},
 		{Strategy: "dagp", Ranks: 4, SecondLevelLm: 4, Seed: 3},
-		{Strategy: "dagp", Fuse: FuseOff, Seed: 3},
+		{Strategy: "dagp", NoFuse: true, Seed: 3},
 	}
 	for _, opts := range cases {
 		ideal, err := Simulate(c, opts)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"hisvsim/internal/circuit"
-	"hisvsim/internal/fuse"
 	"hisvsim/internal/noise"
 )
 
@@ -214,7 +213,7 @@ func buildObjective(ctx context.Context, c *circuit.Circuit, opts Options, roSpe
 		return t
 	}
 	if !opts.Noise.IsZero() {
-		plan, err := noise.Compile(c, opts.Noise, noise.CompileOptions{Fuse: true, MaxFuseQubits: opts.MaxFuseQubits})
+		plan, err := noise.Compile(c, opts.Noise, noise.CompileOptions{Fuse: !opts.NoFuse, MaxFuseQubits: opts.MaxFuseQubits})
 		if err != nil {
 			return nil, err
 		}
@@ -237,7 +236,7 @@ func buildObjective(ctx context.Context, c *circuit.Circuit, opts Options, roSpe
 		// error never perturbs observables — they measure the state, not
 		// sampled bits).
 	}
-	tpl, err := fuse.CompileTemplate(c, fuse.Options{MaxQubits: opts.MaxFuseQubits})
+	tpl, err := compileTemplate(c, opts)
 	if err != nil {
 		return nil, err
 	}

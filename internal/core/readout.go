@@ -300,7 +300,7 @@ func EvaluateContext(ctx context.Context, c *circuit.Circuit, opts Options, spec
 	}
 	if noisy && exact {
 		d, plan, err := dm.Run(ctx, c, opts.Noise, dm.Options{
-			Fuse: opts.Fuse.Enabled(), MaxFuseQubits: opts.MaxFuseQubits, Workers: opts.Workers,
+			Fuse: !opts.NoFuse, MaxFuseQubits: opts.MaxFuseQubits, Workers: opts.Workers,
 		})
 		if err != nil {
 			return nil, err

@@ -126,7 +126,7 @@ func TestPauliObservablesAcrossBackendsAndRanks(t *testing.T) {
 	cases := []Options{
 		{Backend: "flat"},
 		{Backend: "hier", Strategy: "dagp", Lm: 5, Seed: 3},
-		{Backend: "hier", Strategy: "nat", Lm: 4, Fuse: FuseOff},
+		{Backend: "hier", Strategy: "nat", Lm: 4, NoFuse: true},
 		{Backend: "dist", Ranks: 2, Seed: 3},
 		{Backend: "dist", Ranks: 4, SecondLevelLm: 4, Seed: 3},
 		{Backend: "baseline", Ranks: 2},

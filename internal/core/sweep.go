@@ -12,7 +12,7 @@ import (
 
 // This file is the v3 sweep surface: evaluate one parameterized circuit
 // template over many symbol bindings with a single fusion compile. The
-// template compiles once (fuse.CompileTemplate for ideal runs,
+// template compiles once (fuse.Compile for ideal runs,
 // noise.Compile for trajectory ensembles); each grid point only re-binds
 // the symbol-touched blocks and replays the shared kernel plans, so M
 // bindings cost 1 compile + M cheap specializations instead of M full
@@ -78,8 +78,8 @@ func Sweep(c *circuit.Circuit, opts Options, spec ReadoutSpec, bindings []map[st
 // a full seeded ensemble each (counts / mean±stderr aggregation included).
 // The spec's Seed is reused at every point, so each point's read-outs are
 // bit-identical to an independent concrete-circuit run of the bound
-// circuit. Fusion is inherent to the template engine: FuseOff is ignored,
-// MaxFuseQubits still caps block support.
+// circuit. NoFuse and MaxFuseQubits shape the compiled template exactly as
+// they shape a concrete run.
 func SweepContext(ctx context.Context, c *circuit.Circuit, opts Options, spec ReadoutSpec, bindings []map[string]float64) (*SweepReport, error) {
 	start := time.Now()
 	if len(bindings) == 0 {
@@ -91,41 +91,30 @@ func SweepContext(ctx context.Context, c *circuit.Circuit, opts Options, spec Re
 	if err := spec.Validate(c.NumQubits); err != nil {
 		return nil, err
 	}
-	noisy := !opts.Noise.IsZero()
 	rep := &SweepReport{Compiles: 1, Points: make([]SweepPoint, 0, len(bindings))}
-
-	if noisy {
+	var plan *noise.Plan // non-nil under an effective noise model
+	cfg := spec.NoisyRunConfig(opts.Workers)
+	if !opts.Noise.IsZero() {
 		if spec.Statevector {
 			return nil, fmt.Errorf("core: statevector readout is undefined under an effective noise model (a trajectory ensemble has no single state)")
 		}
-		plan, err := noise.Compile(c, opts.Noise, noise.CompileOptions{
-			Fuse: true, MaxFuseQubits: opts.MaxFuseQubits,
+		var err error
+		plan, err = noise.Compile(c, opts.Noise, noise.CompileOptions{
+			Fuse: !opts.NoFuse, MaxFuseQubits: opts.MaxFuseQubits,
 		})
 		if err != nil {
 			return nil, err
 		}
-		cfg := spec.NoisyRunConfig(opts.Workers)
-		if plan.NoiseFree() {
-			// Zero-effect model (channel insertions all elided): one ideal
-			// template run per point, with readout error applied at
-			// sampling — the same fast path SimulateNoisy takes for
-			// concrete circuits. NoiseFree is structural (insertion count),
-			// so one check covers every binding.
-			tpl, err := fuse.CompileTemplate(c, fuse.Options{MaxQubits: opts.MaxFuseQubits})
-			if err != nil {
-				return nil, err
-			}
-			rep.TouchedBlocks = tpl.TouchedBlocks()
-			rep.SharedBlocks = len(tpl.Blocks) - tpl.TouchedBlocks()
+		if !plan.NoiseFree() {
 			for i, env := range bindings {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-				st, err := tpl.Run(env, opts.Workers)
+				sp, err := plan.Specialize(env)
 				if err != nil {
 					return nil, fmt.Errorf("core: binding %d: %w", i, err)
 				}
-				ens, err := noise.RunEnsembleFromState(ctx, st, plan.Readout(), cfg)
+				ens, err := noise.RunEnsemble(ctx, sp, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -135,26 +124,14 @@ func SweepContext(ctx context.Context, c *circuit.Circuit, opts Options, spec Re
 			rep.Elapsed = time.Since(start)
 			return rep, nil
 		}
-		for i, env := range bindings {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			sp, err := plan.Specialize(env)
-			if err != nil {
-				return nil, fmt.Errorf("core: binding %d: %w", i, err)
-			}
-			ens, err := noise.RunEnsemble(ctx, sp, cfg)
-			if err != nil {
-				return nil, err
-			}
-			rep.Trajectories = ens.Trajectories
-			rep.Points = append(rep.Points, SweepPoint{Binding: cloneEnv(env), Readouts: ReadoutsFromEnsemble(ens, spec)})
-		}
-		rep.Elapsed = time.Since(start)
-		return rep, nil
+		// Zero-effect model (channel insertions all elided): one ideal
+		// template run per point, with readout error applied at sampling —
+		// the same fast path SimulateNoisy takes for concrete circuits.
+		// NoiseFree is structural (insertion count), so one check covers
+		// every binding.
 	}
 
-	tpl, err := fuse.CompileTemplate(c, fuse.Options{MaxQubits: opts.MaxFuseQubits})
+	tpl, err := compileTemplate(c, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -168,10 +145,27 @@ func SweepContext(ctx context.Context, c *circuit.Circuit, opts Options, spec Re
 		if err != nil {
 			return nil, fmt.Errorf("core: binding %d: %w", i, err)
 		}
-		rep.Points = append(rep.Points, SweepPoint{Binding: cloneEnv(env), Readouts: EvaluateState(st, nil, spec)})
+		var ro *Readouts
+		if plan == nil {
+			ro = EvaluateState(st, nil, spec)
+		} else {
+			ens, err := noise.RunEnsembleFromState(ctx, st, plan.Readout(), cfg)
+			if err != nil {
+				return nil, err
+			}
+			rep.Trajectories = ens.Trajectories
+			ro = ReadoutsFromEnsemble(ens, spec)
+		}
+		rep.Points = append(rep.Points, SweepPoint{Binding: cloneEnv(env), Readouts: ro})
 	}
 	rep.Elapsed = time.Since(start)
 	return rep, nil
+}
+
+// compileTemplate compiles a validated (possibly parameterized) circuit
+// into the program its bindings replay, honoring the fusion options.
+func compileTemplate(c *circuit.Circuit, opts Options) (*fuse.Program, error) {
+	return fuse.Compile(c.Gates, c.NumQubits, !opts.NoFuse, fuse.Options{MaxQubits: opts.MaxFuseQubits})
 }
 
 func cloneEnv(env map[string]float64) map[string]float64 {

@@ -31,7 +31,7 @@ func qaoaEnvs(c *circuit.Circuit, k int) []map[string]float64 {
 // registered state-vector backend to 1e-9.
 func TestTemplateMatchesConcreteAcrossBackends(t *testing.T) {
 	c := circuit.QAOAAnsatz(4, 2)
-	tpl, err := fuse.CompileTemplate(c, fuse.Options{})
+	tpl, err := fuse.Compile(c.Gates, c.NumQubits, true, fuse.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,6 +124,50 @@ func TestSweepMatchesConcreteRuns(t *testing.T) {
 		for k := range p.Readouts.Marginals[0] {
 			if math.Abs(p.Readouts.Marginals[0][k]-want.Marginals[0][k]) > 1e-9 {
 				t.Fatalf("point %d marginal %d differs", i, k)
+			}
+		}
+	}
+}
+
+// TestSweepUnfusedMatchesFlatBitForBit: a NoFuse sweep compiles one
+// passthrough block per gate, so every point must equal a flat-backend
+// evaluation of the bound circuit exactly (==), not merely within 1e-9.
+func TestSweepUnfusedMatchesFlatBitForBit(t *testing.T) {
+	c := circuit.QAOAAnsatz(4, 2)
+	spec := ReadoutSpec{
+		Statevector: true, Shots: 100, Seed: 7,
+		Observables: []Observable{{Paulis: "ZZ", Qubits: []int{0, 1}}, {Paulis: "X", Qubits: []int{3}}},
+	}
+	bindings := qaoaEnvs(c, 3)
+	rep, err := Sweep(c, Options{NoFuse: true}, spec, bindings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TouchedBlocks+rep.SharedBlocks != c.NumGates() {
+		t.Fatalf("unfused template has %d blocks for %d gates", rep.TouchedBlocks+rep.SharedBlocks, c.NumGates())
+	}
+	for i, p := range rep.Points {
+		bound, err := c.Bind(bindings[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Evaluate(bound, Options{Backend: "flat"}, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range want.Amplitudes {
+			if p.Readouts.Amplitudes[k] != want.Amplitudes[k] {
+				t.Fatalf("point %d amplitude %d: %v vs flat %v", i, k, p.Readouts.Amplitudes[k], want.Amplitudes[k])
+			}
+		}
+		for k, ov := range p.Readouts.Observables {
+			if ov.Value != want.Observables[k].Value {
+				t.Fatalf("point %d observable %d: %v vs flat %v", i, k, ov.Value, want.Observables[k].Value)
+			}
+		}
+		for k := range want.Samples {
+			if p.Readouts.Samples[k] != want.Samples[k] {
+				t.Fatalf("point %d sample %d: %d vs flat %d", i, k, p.Readouts.Samples[k], want.Samples[k])
 			}
 		}
 	}

@@ -17,7 +17,6 @@ import (
 
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/dag"
-	"hisvsim/internal/fuse"
 	"hisvsim/internal/gate"
 	"hisvsim/internal/hier"
 	"hisvsim/internal/mpi"
@@ -63,14 +62,11 @@ type Result struct {
 }
 
 // step is the precomputed per-part execution schedule, identical on every
-// rank: an optional relayout followed by local block application. Shared
-// read-only across rank goroutines.
+// rank: an optional relayout followed by the part's prepared compute on the
+// l-qubit slab. Shared read-only across rank goroutines.
 type step struct {
 	oldPos, newPos []int // non-nil when this part needs a relayout
-	gates          []gate.Gate
-	blocks         []fuse.Block    // fused form of gates (nil when fusion off)
-	plans          []*sv.FusedPlan // kernel tables for the l-qubit slab
-	subPlan        *partition.Plan // second-level plan (nil when single-level)
+	prep           *hier.Prepared
 }
 
 // Run executes the plan over simulated MPI ranks.
@@ -151,17 +147,7 @@ func Run(pl *partition.Plan, cfg Config) (*Result, error) {
 			slab.Workers = cfg.Workers
 			slab.Prof = recorder
 			t0 := time.Now()
-			if st.subPlan != nil {
-				if _, err := hier.ExecutePlan(st.subPlan, slab, hier.Options{
-					Workers: cfg.Workers, Fuse: !cfg.NoFuse, MaxFuseQubits: cfg.MaxFuseQubits,
-				}); err != nil {
-					return err
-				}
-			} else if st.blocks != nil {
-				if err := fuse.ApplyPlanned(slab, st.blocks, st.plans); err != nil {
-					return err
-				}
-			} else if err := slab.ApplyGates(st.gates); err != nil {
+			if err := st.prep.Apply(slab, cfg.Workers); err != nil {
 				return err
 			}
 			cm.RecordCompute(time.Since(t0).Seconds())
@@ -224,8 +210,8 @@ func RunCircuit(c *circuit.Circuit, s partition.Strategy, cfg Config) (*Result, 
 }
 
 // schedule precomputes the deterministic per-part schedule shared by every
-// rank: layout evolution, gate remapping onto positions, fusion, and
-// second-level plans.
+// rank: layout evolution, gate remapping onto positions, and each part's
+// prepared compute (one compiled program, or second-level sub-parts).
 func schedule(pl *partition.Plan, l int, cfg Config) ([]step, []int, int, error) {
 	c := pl.Circuit
 	n := c.NumQubits
@@ -252,24 +238,15 @@ func schedule(pl *partition.Plan, l int, cfg Config) ([]step, []int, int, error)
 		for _, gi := range part.GateIndices {
 			gates = append(gates, c.Gates[gi].Remap(func(q int) int { return cur[q] }))
 		}
-		st.gates = gates
-		w := part.WorkingSetSize()
-		if cfg.SecondLevelLm > 0 && cfg.SecondLevelLm < w {
-			sub := circuit.New(fmt.Sprintf("%s_part%d", c.Name, part.Index), l)
-			sub.Gates = gates
-			pl2, err := partition.Nat{}.Partition(dag.FromCircuit(sub), cfg.SecondLevelLm)
-			if err != nil {
-				return nil, nil, 0, fmt.Errorf("dist: second-level partition of part %d: %w", part.Index, err)
-			}
-			st.subPlan = pl2
-		} else if !cfg.NoFuse {
-			blocks, err := fuse.Fuse(gates, fuse.Options{MaxQubits: cfg.MaxFuseQubits})
-			if err != nil {
-				return nil, nil, 0, fmt.Errorf("dist: part %d: %w", part.Index, err)
-			}
-			st.blocks = blocks
-			st.plans = fuse.Plan(blocks, l)
+		opts := hier.Options{Fuse: !cfg.NoFuse, MaxFuseQubits: cfg.MaxFuseQubits}
+		if cfg.SecondLevelLm < part.WorkingSetSize() {
+			opts.SecondLevelLm = cfg.SecondLevelLm
 		}
+		prep, err := hier.Prepare(fmt.Sprintf("%s_part%d", c.Name, part.Index), gates, l, opts)
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("dist: part %d: %w", part.Index, err)
+		}
+		st.prep = prep
 		steps = append(steps, st)
 	}
 	return steps, pos, relayouts, nil

@@ -65,6 +65,7 @@ func TestDistUnfusedMatchesFlat(t *testing.T) {
 func TestDistSecondLevelMatchesFlat(t *testing.T) {
 	distVsFlat(t, circuit.QFT(9), 2, Config{SecondLevelLm: 3})
 	distVsFlat(t, circuit.QAOA(9, 2, 5), 4, Config{SecondLevelLm: 3})
+	distVsFlat(t, circuit.QFT(9), 2, Config{SecondLevelLm: 3, NoFuse: true})
 }
 
 func TestDistVirtualRanksNonPowerOfTwo(t *testing.T) {

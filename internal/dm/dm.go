@@ -283,15 +283,8 @@ func Evolve(ctx context.Context, plan *noise.Plan, workers int) (*Density, error
 			}
 			d.applySuper(s.Qubits, super)
 			return nil
-		case s.Blocks != nil:
-			return d.applyBlocks(s.Blocks)
 		default:
-			for _, g := range s.Gates {
-				if err := d.ApplyGate(g); err != nil {
-					return err
-				}
-			}
-			return nil
+			return d.applyProgram(s.Program)
 		}
 	})
 	if err != nil {
@@ -300,9 +293,9 @@ func Evolve(ctx context.Context, plan *noise.Plan, workers int) (*Density, error
 	return d, nil
 }
 
-// applyBlocks replays one fused gate run on both sides of ρ.
-func (d *Density) applyBlocks(blocks []fuse.Block) error {
-	for _, b := range blocks {
+// applyProgram replays one compiled gate run on both sides of ρ.
+func (d *Density) applyProgram(p *fuse.Program) error {
+	for _, b := range p.Blocks {
 		switch b.Kind {
 		case fuse.Dense:
 			d.ApplyMatrix(b.Qubits, b.Matrix)

@@ -70,7 +70,7 @@ type FusionReport struct {
 
 // FusionBench measures fused vs. unfused execution wall-clock across the
 // configured families and sizes. Both runs share the partitioning strategy;
-// only Options.Fuse differs, so the delta isolates the fusion engine.
+// only Options.NoFuse differs, so the delta isolates the fusion engine.
 func FusionBench(cfg FusionConfig) (*FusionReport, error) {
 	cfg = cfg.WithDefaults()
 	rep := &FusionReport{Strategy: cfg.Strategy, Reps: cfg.Reps,
@@ -84,9 +84,8 @@ func FusionBench(cfg FusionConfig) (*FusionReport, error) {
 			}
 			base := core.Options{Strategy: cfg.Strategy, Seed: cfg.Seed, Workers: cfg.Workers}
 			off := base
-			off.Fuse = core.FuseOff
+			off.NoFuse = true
 			on := base
-			on.Fuse = core.FuseOn
 			row := FusionRow{Circuit: fam, Qubits: n, Gates: c.NumGates()}
 			unfused, _, err := timeRun(c, off, cfg.Reps)
 			if err != nil {

@@ -125,7 +125,7 @@ func SweepBench(cfg SweepConfig) (*SweepReport, error) {
 		rep.TouchedBlocks, rep.SharedBlocks = sw.TouchedBlocks, sw.SharedBlocks
 
 		start = time.Now()
-		if _, err := fuse.CompileTemplate(c, fuse.Options{}); err != nil {
+		if _, err := fuse.Compile(c.Gates, c.NumQubits, true, fuse.Options{}); err != nil {
 			return nil, fmt.Errorf("sweep bench: %w", err)
 		}
 		if ms := time.Since(start).Seconds() * 1e3; r == 0 || ms < rep.CompileMS {
@@ -140,7 +140,7 @@ func SweepBench(cfg SweepConfig) (*SweepReport, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sweep bench: %w", err)
 			}
-			tb, err := fuse.CompileTemplate(bound, fuse.Options{})
+			tb, err := fuse.Compile(bound.Gates, bound.NumQubits, true, fuse.Options{})
 			if err != nil {
 				return nil, fmt.Errorf("sweep bench: %w", err)
 			}

@@ -17,6 +17,9 @@
 //
 // A block of one gate stays a passthrough so the simulator's dedicated
 // fast paths (diagonal sweep, swap, 2×2 kernel) keep applying.
+//
+// Executors never apply blocks themselves: they compile each gate run once
+// into a Program (fused, or one passthrough block per gate) and apply that.
 package fuse
 
 import (
@@ -70,6 +73,17 @@ const DefaultMaxQubits = 5
 
 // DefaultMaxDiagQubits is the diagonal-run support cap.
 const DefaultMaxDiagQubits = 10
+
+// CheckMaxQubits validates a caller-supplied support cap: 0 selects the
+// defaults, and an explicit value, which also caps diagonal runs, must stay
+// within DefaultMaxDiagQubits so no fused table outgrows the default
+// diagonal one (2^10 entries).
+func CheckMaxQubits(k int) error {
+	if k < 0 || k > DefaultMaxDiagQubits {
+		return fmt.Errorf("fuse: max fused-block support %d out of range [0,%d]", k, DefaultMaxDiagQubits)
+	}
+	return nil
+}
 
 func (o Options) withDefaults() Options {
 	if o.MaxDiagQubits <= 0 {
@@ -273,9 +287,8 @@ func buildMatrix(qs []int, gates []gate.Gate) gate.Matrix {
 }
 
 // Plan precomputes the per-block kernel index tables for applying blocks to
-// n-qubit states (nil entries for passthrough blocks). Executors that sweep
-// the same blocks many times build the plan once and use ApplyPlanned; the
-// result is read-only and safe to share across goroutines.
+// n-qubit states (nil entries for passthrough blocks). The result is
+// read-only and safe to share across goroutines.
 func Plan(blocks []Block, n int) []*sv.FusedPlan {
 	plans := make([]*sv.FusedPlan, len(blocks))
 	for i := range blocks {
@@ -284,39 +297,6 @@ func Plan(blocks []Block, n int) []*sv.FusedPlan {
 		}
 	}
 	return plans
-}
-
-// Apply executes the blocks against the state in order.
-func Apply(st *sv.State, blocks []Block) error {
-	return ApplyPlanned(st, blocks, nil)
-}
-
-// ApplyPlanned is Apply with kernel plans from Plan (nil plans fall back to
-// per-call table construction).
-func ApplyPlanned(st *sv.State, blocks []Block, plans []*sv.FusedPlan) error {
-	for i := range blocks {
-		b := &blocks[i]
-		var p *sv.FusedPlan
-		if plans != nil {
-			p = plans[i]
-		}
-		if p == nil && b.Kind != Single {
-			p = sv.PrepareFused(st.N, b.Qubits)
-		}
-		switch b.Kind {
-		case Single:
-			if err := st.ApplyGate(b.Gates[0]); err != nil {
-				return err
-			}
-		case Diagonal:
-			st.ApplyFusedDiagonalPlan(p, b.Diag)
-		case Dense:
-			st.ApplyFusedPlan(p, b.Matrix)
-		default:
-			return fmt.Errorf("fuse: unknown block kind %d", b.Kind)
-		}
-	}
-	return nil
 }
 
 // GateCount returns the number of source gates across all blocks.

@@ -27,29 +27,47 @@ func randomState(n int, seed int64) *sv.State {
 	return st
 }
 
-// applyBoth runs the gate list unfused and as fused blocks on the same
-// random input state and checks element-wise agreement.
+// applyBoth runs the gate list through sv.ApplyGates, an unfused Program
+// and a fused Program on the same random input state. The unfused program
+// must reproduce the reference amplitudes exactly (==); the fused one must
+// agree element-wise within 1e-9.
 func applyBoth(t *testing.T, n int, gates []gate.Gate, opts Options, seed int64) []Block {
 	t.Helper()
 	want := randomState(n, seed)
 	got := want.Clone()
+	unfused := want.Clone()
 	if err := want.ApplyGates(gates); err != nil {
 		t.Fatal(err)
 	}
-	blocks, err := Fuse(gates, opts)
+	plain, err := Compile(gates, n, false, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if GateCount(blocks) != len(gates) {
-		t.Fatalf("blocks cover %d gates, want %d", GateCount(blocks), len(gates))
+	if len(plain.Blocks) != len(gates) {
+		t.Fatalf("unfused program has %d blocks for %d gates", len(plain.Blocks), len(gates))
 	}
-	if err := Apply(got, blocks); err != nil {
+	if err := plain.Apply(unfused); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Amps {
+		if unfused.Amps[i] != want.Amps[i] {
+			t.Fatalf("unfused program amplitude %d = %v, sv.ApplyGates gives %v", i, unfused.Amps[i], want.Amps[i])
+		}
+	}
+	prog, err := Compile(gates, n, true, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if GateCount(prog.Blocks) != len(gates) {
+		t.Fatalf("blocks cover %d gates, want %d", GateCount(prog.Blocks), len(gates))
+	}
+	if err := prog.Apply(got); err != nil {
 		t.Fatal(err)
 	}
 	if !got.EqualTol(want, 1e-9) {
 		t.Fatalf("fused state diverges from unfused (max err %v)", maxErr(got, want))
 	}
-	return blocks
+	return prog.Blocks
 }
 
 func maxErr(a, b *sv.State) float64 {

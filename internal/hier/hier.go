@@ -6,10 +6,11 @@
 // second-level limit set, each part is recursively partitioned so the
 // innermost vectors stay cache-resident (the paper's multi-level HiSVSIM).
 //
-// With Options.Fuse set, each part's gates are additionally coalesced into
-// dense/diagonal fused blocks (see internal/fuse) once per part, so every
+// Each part's gates compile once into a fuse.Program. With Options.Fuse set
+// they coalesce into dense/diagonal fused blocks, so every
 // gather/execute/scatter cycle sweeps the inner vector once per block
-// instead of once per gate. Independent sweeps of one part are executed in
+// instead of once per gate; unfused, the program holds one passthrough
+// block per gate. Independent sweeps of one part are executed in
 // parallel across Workers goroutines (they touch disjoint slices of the
 // outer vector), and a part whose working set spans the whole register is
 // applied directly to the outer state through the parallel kernels.
@@ -69,7 +70,7 @@ type PartStats struct {
 	Sweeps     int64 // gather/scatter iterations = 2^(n-w)
 	BytesMoved int64 // gather + scatter traffic over the outer vector
 	SubParts   int   // second-level part count (1 when single-level)
-	Blocks     int   // fused blocks per sweep (0 when fusion off or multi-level)
+	Blocks     int   // program blocks per sweep: one per gate unfused, 0 when multi-level
 }
 
 // Metrics aggregates execution statistics.
@@ -98,7 +99,7 @@ func ExecutePlan(pl *partition.Plan, outer *sv.State, opts Options) (*Metrics, e
 		if err != nil {
 			return nil, fmt.Errorf("hier: part %d: %w", part.Index, err)
 		}
-		ps, err := executePart(pp, outer, opts)
+		ps, err := executePart(&pp, outer, opts)
 		if err != nil {
 			return nil, fmt.Errorf("hier: part %d: %w", part.Index, err)
 		}
@@ -126,33 +127,21 @@ func Run(c *circuit.Circuit, lm int, s partition.Strategy, opts Options) (*sv.St
 	return outer, m, nil
 }
 
-// prepared is one part's precomputed execution recipe: gates remapped onto
-// inner slots, fused blocks (fusion on, single level), or the prepared
+// Prepared is one compiled execution recipe: a part's gather/scatter table
+// plus either one compiled gate program (internal/fuse) or the prepared
 // second-level sub-parts. Preparing once per part keeps fusion and
-// second-level partitioning out of the 2^(n-w) sweep loop.
-type prepared struct {
-	part   partition.Part
-	gates  []gate.Gate     // remapped onto slots 0..w-1
-	offs   []int           // offs[s] = spread(s, part.Qubits), gather/scatter table
-	blocks []fuse.Block    // fused form (nil when fusion off or multi-level)
-	plans  []*sv.FusedPlan // per-block kernel tables for w-qubit inner states
-	sub    []prepared      // second-level prepared parts
+// second-level partitioning out of the 2^(n-w) sweep loop; a Prepared is
+// read-only and shared across sweeps, goroutines and simulated ranks.
+type Prepared struct {
+	part partition.Part
+	offs []int         // offs[s] = spread(s, part.Qubits), gather/scatter table
+	prog *fuse.Program // compiled gate run (nil when multi-level)
+	sub  []Prepared    // second-level prepared parts
 }
 
-// preparePart remaps the part's gates onto inner slots and precomputes the
-// fused blocks or the second-level plan.
-func preparePart(c *circuit.Circuit, part partition.Part, opts Options) (prepared, error) {
+// preparePart remaps the part's gates onto inner slots and prepares them.
+func preparePart(c *circuit.Circuit, part partition.Part, opts Options) (Prepared, error) {
 	w := part.WorkingSetSize()
-	pp := prepared{part: part}
-	if w < c.NumQubits {
-		// Parts that span their whole circuit never gather/scatter (they
-		// apply directly), so the offset table would be pure waste there.
-		pp.offs = make([]int, 1<<uint(w))
-		for s := range pp.offs {
-			pp.offs[s] = spread(s, part.Qubits)
-		}
-	}
-
 	// Remap the part's gates onto inner qubit slots 0..w-1 (the paper's
 	// consistent-layout rule: ascending global qubit -> ascending slot).
 	slot := make(map[int]int, w)
@@ -163,69 +152,86 @@ func preparePart(c *circuit.Circuit, part partition.Part, opts Options) (prepare
 	for _, gi := range part.GateIndices {
 		gates = append(gates, c.Gates[gi].Remap(func(q int) int { return slot[q] }))
 	}
-	pp.gates = gates
-
-	if opts.SecondLevelLm > 0 && opts.SecondLevelLm < w {
-		sub := circuit.New(fmt.Sprintf("%s_part%d", c.Name, part.Index), w)
-		sub.Gates = gates
-		strat := opts.SecondLevel
-		if strat == nil {
-			strat = partition.Nat{}
-		}
-		pl2, err := strat.Partition(dag.FromCircuit(sub), opts.SecondLevelLm)
-		if err != nil {
-			return pp, fmt.Errorf("second-level partition: %w", err)
-		}
-		subOpts := opts
-		subOpts.SecondLevelLm = 0
-		for _, p2 := range pl2.Parts {
-			sp, err := preparePart(sub, p2, subOpts)
-			if err != nil {
-				return pp, err
-			}
-			pp.sub = append(pp.sub, sp)
-		}
-		return pp, nil
+	pp, err := Prepare(fmt.Sprintf("%s_part%d", c.Name, part.Index), gates, w, opts)
+	if err != nil {
+		return Prepared{}, err
 	}
-	if opts.Fuse {
-		blocks, err := fuse.Fuse(gates, fuse.Options{MaxQubits: opts.MaxFuseQubits})
-		if err != nil {
-			return pp, err
+	pp.part = part
+	if w < c.NumQubits {
+		// Parts that span their whole circuit never gather/scatter (they
+		// apply directly), so the offset table would be pure waste there.
+		pp.offs = make([]int, 1<<uint(w))
+		for s := range pp.offs {
+			pp.offs[s] = spread(s, part.Qubits)
 		}
-		pp.blocks = blocks
-		pp.plans = fuse.Plan(blocks, w)
+	}
+	return *pp, nil
+}
+
+// Prepare compiles a gate run over w qubits (slots 0..w-1): into prepared
+// second-level sub-parts when opts.SecondLevelLm is set and below w, else
+// into one program (fused per opts.Fuse). name labels the second-level
+// sub-circuit.
+func Prepare(name string, gates []gate.Gate, w int, opts Options) (*Prepared, error) {
+	if opts.SecondLevelLm <= 0 || opts.SecondLevelLm >= w {
+		prog, err := fuse.Compile(gates, w, opts.Fuse, fuse.Options{MaxQubits: opts.MaxFuseQubits})
+		if err != nil {
+			return nil, err
+		}
+		return &Prepared{prog: prog}, nil
+	}
+	sub := circuit.New(name, w)
+	sub.Gates = gates
+	strat := opts.SecondLevel
+	if strat == nil {
+		strat = partition.Nat{}
+	}
+	pl2, err := strat.Partition(dag.FromCircuit(sub), opts.SecondLevelLm)
+	if err != nil {
+		return nil, fmt.Errorf("second-level partition: %w", err)
+	}
+	subOpts := opts
+	subOpts.SecondLevelLm = 0
+	pp := &Prepared{}
+	for _, p2 := range pl2.Parts {
+		sp, err := preparePart(sub, p2, subOpts)
+		if err != nil {
+			return nil, err
+		}
+		pp.sub = append(pp.sub, sp)
 	}
 	return pp, nil
 }
 
-// applyPrepared runs one prepared part's compute against an inner state
-// whose qubits are the part's slots. workers bounds sub-part sweep
-// parallelism: 1 inside a per-sweep inner vector (parallelism is already
-// sweep-level there), the full worker count when inner is the outer state.
-func applyPrepared(pp *prepared, inner *sv.State, workers int) error {
-	if pp.sub != nil {
-		for i := range pp.sub {
-			if err := executeSweeps(&pp.sub[i], inner, workers); err != nil {
-				return err
-			}
+// Apply runs the prepared compute against a state whose qubits are the
+// recipe's slots. workers bounds second-level sweep parallelism (0 =
+// GOMAXPROCS): 1 inside a per-sweep inner vector (parallelism is already
+// sweep-level there), the full worker count on an outer state or slab.
+func (pp *Prepared) Apply(inner *sv.State, workers int) error {
+	if pp.prog != nil {
+		return pp.prog.Apply(inner)
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	for i := range pp.sub {
+		if err := executeSweeps(&pp.sub[i], inner, workers); err != nil {
+			return err
 		}
-		return nil
 	}
-	if pp.blocks != nil {
-		return fuse.ApplyPlanned(inner, pp.blocks, pp.plans)
-	}
-	return inner.ApplyGates(pp.gates)
+	return nil
 }
 
 // executePart performs the Gather-Execute-Scatter cycle of Algorithm 1 for
 // one prepared part.
-func executePart(pp prepared, outer *sv.State, opts Options) (PartStats, error) {
+func executePart(pp *Prepared, outer *sv.State, opts Options) (PartStats, error) {
 	part := pp.part
 	w := part.WorkingSetSize()
 	n := outer.N
-	ps := PartStats{Index: part.Index, Gates: len(part.GateIndices), Qubits: w,
-		SubParts: 1, Blocks: len(pp.blocks)}
-	if pp.sub != nil {
+	ps := PartStats{Index: part.Index, Gates: len(part.GateIndices), Qubits: w, SubParts: 1}
+	if pp.prog != nil {
+		ps.Blocks = len(pp.prog.Blocks)
+	} else {
 		ps.SubParts = len(pp.sub)
 	}
 	if w == 0 {
@@ -237,13 +243,13 @@ func executePart(pp prepared, outer *sv.State, opts Options) (PartStats, error) 
 		// The part spans the whole register: apply directly to the outer
 		// state through the parallel kernels — no gather/scatter copies, so
 		// no bytes are charged.
-		if err := applyPrepared(&pp, outer, opts.workers()); err != nil {
+		if err := pp.Apply(outer, opts.workers()); err != nil {
 			return ps, err
 		}
 		return ps, nil
 	}
 	ps.BytesMoved = 2 * int64(outer.Dim()) * 16
-	if err := executeSweeps(&pp, outer, opts.workers()); err != nil {
+	if err := executeSweeps(pp, outer, opts.workers()); err != nil {
 		return ps, err
 	}
 	return ps, nil
@@ -252,7 +258,7 @@ func executePart(pp prepared, outer *sv.State, opts Options) (PartStats, error) 
 // executeSweeps runs the 2^(n-w) gather/execute/scatter iterations of one
 // prepared part against the outer state, splitting independent sweeps
 // (disjoint outer slices) across workers goroutines.
-func executeSweeps(pp *prepared, outer *sv.State, workers int) error {
+func executeSweeps(pp *Prepared, outer *sv.State, workers int) error {
 	part := pp.part
 	w := part.WorkingSetSize()
 	sweeps := 1 << uint(outer.N-w)
@@ -277,7 +283,7 @@ func executeSweeps(pp *prepared, outer *sv.State, workers int) error {
 			for s := 0; s < dimInner; s++ {
 				inner.Amps[s] = outer.Amps[base|offs[s]]
 			}
-			if err := applyPrepared(pp, inner, 1); err != nil {
+			if err := pp.Apply(inner, 1); err != nil {
 				return inner.Ops, err
 			}
 			for s := 0; s < dimInner; s++ {

@@ -2,9 +2,6 @@ package noise
 
 import (
 	"fmt"
-
-	"hisvsim/internal/fuse"
-	"hisvsim/internal/gate"
 )
 
 // Trajectory plans compiled from a parameterized circuit specialize the
@@ -13,33 +10,25 @@ import (
 // and kernel plans of the placeholder compile are correct for every
 // binding — only the numeric payloads of symbol-touched gate runs need
 // rebinding. That makes noisy sweeps one Compile plus cheap Specialize
-// calls per grid point, exactly mirroring fuse.Template.
+// calls per grid point, exactly mirroring fuse.Program.
 
 // Parametric reports whether any gate run of the plan carries a symbolic
 // parameter (channel steps never do).
 func (p *Plan) Parametric() bool {
 	for i := range p.steps {
-		s := &p.steps[i]
-		for bi := range s.blocks {
-			if s.blocks[bi].Parametric() {
-				return true
-			}
-		}
-		for _, g := range s.gates {
-			if g.Parametric() {
-				return true
-			}
+		if s := &p.steps[i]; s.prog != nil && s.prog.TouchedBlocks() > 0 {
+			return true
 		}
 	}
 	return false
 }
 
 // Specialize returns a concrete plan for one binding: a shallow copy whose
-// symbol-touched gate runs are rebuilt (fused blocks re-materialized, plain
-// gate runs re-bound) and whose untouched steps — including every channel
-// insertion and all kernel index tables — alias the template plan
-// read-only. Concrete plans are returned unchanged. The receiver is never
-// mutated, so one template plan serves concurrent specializations.
+// symbol-touched gate runs are specialized (fuse.Program.Specialize) and
+// whose untouched steps — including every channel insertion and all kernel
+// index tables — alias the template plan read-only. Concrete plans are
+// returned unchanged. The receiver is never mutated, so one template plan
+// serves concurrent specializations.
 func (p *Plan) Specialize(env map[string]float64) (*Plan, error) {
 	if !p.Parametric() {
 		return p, nil
@@ -48,51 +37,14 @@ func (p *Plan) Specialize(env map[string]float64) (*Plan, error) {
 	out.steps = append([]step(nil), p.steps...)
 	for i := range out.steps {
 		s := &out.steps[i]
-		switch {
-		case s.blocks != nil:
-			touched := false
-			for bi := range s.blocks {
-				if s.blocks[bi].Parametric() {
-					touched = true
-					break
-				}
-			}
-			if !touched {
-				continue
-			}
-			blocks := append([]fuse.Block(nil), s.blocks...)
-			for bi := range blocks {
-				if !blocks[bi].Parametric() {
-					continue
-				}
-				b, err := blocks[bi].Specialize(env)
-				if err != nil {
-					return nil, fmt.Errorf("noise: %w", err)
-				}
-				blocks[bi] = b
-			}
-			s.blocks = blocks // plans stay shared: supports are unchanged
-		case s.gates != nil:
-			touched := false
-			for _, g := range s.gates {
-				if g.Parametric() {
-					touched = true
-					break
-				}
-			}
-			if !touched {
-				continue
-			}
-			gs := make([]gate.Gate, len(s.gates))
-			for gi, g := range s.gates {
-				bg, err := g.Bind(env)
-				if err != nil {
-					return nil, fmt.Errorf("noise: %w", err)
-				}
-				gs[gi] = bg
-			}
-			s.gates = gs
+		if s.prog == nil {
+			continue
 		}
+		prog, err := s.prog.Specialize(env)
+		if err != nil {
+			return nil, fmt.Errorf("noise: %w", err)
+		}
+		s.prog = prog
 	}
 	return &out, nil
 }

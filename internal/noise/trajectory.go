@@ -28,12 +28,10 @@ type CompileOptions struct {
 	ForceKraus bool
 }
 
-// step is one unit of a compiled trajectory plan: either a fused gate run
-// (blocks non-nil) or a single channel insertion (ch non-nil).
+// step is one unit of a compiled trajectory plan: either a compiled gate
+// run (prog non-nil) or a single channel insertion (ch non-nil).
 type step struct {
-	blocks []fuse.Block
-	plans  []*sv.FusedPlan
-	gates  []gate.Gate // unfused fallback when CompileOptions.Fuse is off
+	prog *fuse.Program
 
 	ch     *Channel
 	qubits []int // the channel's target qubits (len = ch.NumQubits())
@@ -76,16 +74,9 @@ func (p *Plan) Readout() *Readout { return p.readout }
 func (p *Plan) MemoryBytes() int64 {
 	var b int64 = 256
 	for _, st := range p.steps {
-		for _, blk := range st.blocks {
-			b += int64(len(blk.Matrix.Data))*16 + int64(len(blk.Diag))*16
-			b += int64(len(blk.Gates)) * 64
+		if st.prog != nil {
+			b += st.prog.MemoryBytes()
 		}
-		for _, fp := range st.plans {
-			if fp != nil {
-				b += int64(1) << uint(len(fp.Qubits)+3) // scatter-offset table
-			}
-		}
-		b += int64(len(st.gates)) * 64
 		if st.ch != nil {
 			for _, k := range st.ch.Kraus {
 				b += int64(len(k.Data)) * 16
@@ -117,20 +108,12 @@ func Compile(c *circuit.Circuit, m *Model, opts CompileOptions) (*Plan, error) {
 		if len(run) == 0 {
 			return nil
 		}
-		st := step{}
-		if opts.Fuse {
-			blocks, err := fuse.Fuse(run, fuse.Options{MaxQubits: opts.MaxFuseQubits})
-			if err != nil {
-				return err
-			}
-			st.blocks = blocks
-			st.plans = fuse.Plan(blocks, c.NumQubits)
-			p.blocks += len(blocks)
-		} else {
-			st.gates = run
-			p.blocks += len(run)
+		prog, err := fuse.Compile(run, c.NumQubits, opts.Fuse, fuse.Options{MaxQubits: opts.MaxFuseQubits})
+		if err != nil {
+			return err
 		}
-		p.steps = append(p.steps, st)
+		p.steps = append(p.steps, step{prog: prog})
+		p.blocks += len(prog.Blocks)
 		run = nil
 		return nil
 	}
@@ -203,13 +186,12 @@ func insertionsFor(m *Model, g gate.Gate) ([]step, error) {
 // Step is the exported read-only view of one compiled plan unit, for
 // alternative evolution engines that replay a plan without unraveling it
 // stochastically (the density-matrix backend walks these and applies
-// Channel.Kraus exactly as a superoperator). Exactly one of the gate-run
-// fields (Gates or Blocks) or the channel pair (Channel + Qubits) is set.
+// Channel.Kraus exactly as a superoperator). Exactly one of Program or the
+// channel pair (Channel + Qubits) is set.
 type Step struct {
-	// Gates is an unfused gate run (plans compiled with Fuse off).
-	Gates []gate.Gate
-	// Blocks is a fused gate run (plans compiled with Fuse on).
-	Blocks []fuse.Block
+	// Program is a compiled gate run (one Single block per gate when the
+	// plan was compiled with Fuse off).
+	Program *fuse.Program
 	// Channel is a channel insertion over Qubits (len = channel arity,
 	// ascending).
 	Channel *Channel
@@ -222,7 +204,7 @@ type Step struct {
 func (p *Plan) VisitSteps(f func(Step) error) error {
 	for i := range p.steps {
 		s := &p.steps[i]
-		if err := f(Step{Gates: s.gates, Blocks: s.blocks, Channel: s.ch, Qubits: s.qubits}); err != nil {
+		if err := f(Step{Program: s.prog, Channel: s.ch, Qubits: s.qubits}); err != nil {
 			return err
 		}
 	}
@@ -271,12 +253,8 @@ func (p *Plan) runTrajectory(rng *rand.Rand, rec *prof.Recorder) (*sv.State, Tra
 			if err := p.applyChannel(st, s.ch, s.qubits, rng, &stats); err != nil {
 				return nil, stats, err
 			}
-		case s.blocks != nil:
-			if err := fuse.ApplyPlanned(st, s.blocks, s.plans); err != nil {
-				return nil, stats, err
-			}
 		default:
-			if err := st.ApplyGates(s.gates); err != nil {
+			if err := s.prog.Apply(st); err != nil {
 				return nil, stats, err
 			}
 		}

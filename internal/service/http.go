@@ -13,6 +13,7 @@ import (
 
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/core"
+	"hisvsim/internal/fuse"
 	"hisvsim/internal/noise"
 	"hisvsim/internal/obs"
 	"hisvsim/internal/prof"
@@ -303,16 +304,15 @@ func (o wireOptions) toCore() (core.Options, error) {
 		Strategy: o.Strategy, Lm: o.Lm, Ranks: o.Ranks,
 		SecondLevelLm: o.SecondLevelLm, Workers: o.Workers,
 		MaxFuseQubits: o.MaxFuseQubits, Seed: o.Seed,
+		NoFuse: o.Fuse == "off",
 	}
 	switch o.Fuse {
-	case "", "auto":
-		out.Fuse = core.FuseAuto
-	case "on":
-		out.Fuse = core.FuseOn
-	case "off":
-		out.Fuse = core.FuseOff
+	case "", "auto", "on", "off":
 	default:
 		return out, fmt.Errorf("unknown fuse policy %q (want auto, on or off)", o.Fuse)
+	}
+	if err := fuse.CheckMaxQubits(o.MaxFuseQubits); err != nil {
+		return out, fmt.Errorf("max_fuse_qubits: %w", err)
 	}
 	return out, nil
 }

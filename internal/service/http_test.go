@@ -126,6 +126,8 @@ func TestHTTPBadRequests(t *testing.T) {
 		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "sample", "unknown": true}`, // unknown field
 		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "sample",
 		  "options": {"fuse": "sometimes"}}`, // bad fuse policy
+		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "sample",
+		  "options": {"max_fuse_qubits": 11}}`, // fused tables beyond 2^10 entries
 	}
 	for _, body := range cases {
 		resp, got := postJSON(t, srv.URL+"/v1/jobs", body)
@@ -138,6 +140,34 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 	if resp, _ := getJSON(t, srv.URL+"/v1/jobs/j424242/result"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job result: %d, want 404", resp.StatusCode)
+	}
+}
+
+func TestParseRequestFuseOptions(t *testing.T) {
+	parse := func(opts string) (*Request, error) {
+		return ParseRequest([]byte(`{"circuit": {"family": "bv", "qubits": 4}, "kind": "sample", "options": ` + opts + `}`))
+	}
+	for _, tc := range []struct {
+		opts string
+		ok   bool
+	}{
+		{`{"max_fuse_qubits": -1}`, false},
+		{`{"max_fuse_qubits": 10}`, true},
+		{`{"max_fuse_qubits": 11}`, false},
+	} {
+		if _, err := parse(tc.opts); (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want ok=%v", tc.opts, err, tc.ok)
+		}
+	}
+	// auto and on both fuse; only off sets NoFuse.
+	for policy, noFuse := range map[string]bool{"auto": false, "on": false, "off": true} {
+		req, err := parse(`{"fuse": "` + policy + `"}`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req.Options.NoFuse != noFuse {
+			t.Errorf("fuse %q: NoFuse = %v, want %v", policy, req.Options.NoFuse, noFuse)
+		}
 	}
 }
 

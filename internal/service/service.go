@@ -1320,6 +1320,28 @@ func (s *Service) cachedCompute(j *job, key string, compute func() (costed, erro
 	}
 }
 
+// widenTrajectories takes tokens from the shared pool to widen a noisy job
+// beyond its own worker slot, so concurrent noisy jobs cannot multiply into
+// Workers² live trajectory states. It returns the width and the func that
+// hands the tokens back when the job ends.
+func (s *Service) widenTrajectories() (int, func()) {
+	width := 1
+	for width < s.cfg.Workers {
+		select {
+		case <-s.trajTokens:
+			width++
+			continue
+		default:
+		}
+		break
+	}
+	return width, func() {
+		for i := 1; i < width; i++ {
+			s.trajTokens <- struct{}{}
+		}
+	}
+}
+
 // executeNoisy runs a trajectory-ensemble job (any kind carrying a noise
 // model, plus the legacy noisy kinds even when their model is zero-effect).
 // The compiled (circuit + noise model) plan is cached in the dedicated
@@ -1331,24 +1353,8 @@ func (s *Service) cachedCompute(j *job, key string, compute func() (costed, erro
 func (s *Service) executeNoisy(j *job, spec core.ReadoutSpec) (*Result, error) {
 	start := time.Now()
 	req := j.req
-	// Widen beyond this job's own worker slot only by tokens from the
-	// shared pool, so concurrent noisy jobs cannot multiply into
-	// Workers² live trajectory states; tokens return when the job ends.
-	width := 1
-	for width < s.cfg.Workers {
-		select {
-		case <-s.trajTokens:
-			width++
-			continue
-		default:
-		}
-		break
-	}
-	defer func() {
-		for i := 1; i < width; i++ {
-			s.trajTokens <- struct{}{}
-		}
-	}()
+	width, release := s.widenTrajectories()
+	defer release()
 	run := spec.NoisyRunConfig(width)
 	j.trace.Begin(stageCompile)
 	plan, hit, err := s.noisePlanFor(j)
@@ -1465,7 +1471,7 @@ func (s *Service) dmEntryFor(j *job, plan *noise.Plan) (*dmEntry, bool, error) {
 // excluded — ρ is seed-free; only sampling consumes the request seed — and
 // so are Strategy/Lm/Ranks, which the unpartitioned engine never reads.
 func dmKey(c *circuit.Circuit, o core.Options, m *noise.Model) string {
-	return fmt.Sprintf("dm|%s|f=%t mf=%d", c.FingerprintWith(m.Hash()), o.Fuse.Enabled(), o.MaxFuseQubits)
+	return fmt.Sprintf("dm|%s|f=%t mf=%d", c.FingerprintWith(m.Hash()), !o.NoFuse, o.MaxFuseQubits)
 }
 
 // noisePlanEntry wraps a compiled trajectory plan for the LRU cache.
@@ -1491,7 +1497,7 @@ func (s *Service) noisePlanFor(j *job) (*noise.Plan, bool, error) {
 	s.mu.Unlock()
 	s.m.cacheMisses.With(cachePlan).Inc()
 	plan, err := noise.Compile(j.req.Circuit, j.req.Noise, noise.CompileOptions{
-		Fuse: j.req.Options.Fuse.Enabled(), MaxFuseQubits: j.req.Options.MaxFuseQubits,
+		Fuse: !j.req.Options.NoFuse, MaxFuseQubits: j.req.Options.MaxFuseQubits,
 	})
 	if err != nil {
 		return nil, false, err
@@ -1511,7 +1517,7 @@ func (s *Service) noisePlanFor(j *job) (*noise.Plan, bool, error) {
 // Strategy/Lm/Ranks, which only steer the zero-noise ideal path (keyed
 // separately by cacheKey).
 func noisePlanKey(c *circuit.Circuit, o core.Options, m *noise.Model) string {
-	return fmt.Sprintf("noise|%s|f=%t mf=%d", c.FingerprintWith(m.Hash()), o.Fuse.Enabled(), o.MaxFuseQubits)
+	return fmt.Sprintf("noise|%s|f=%t mf=%d", c.FingerprintWith(m.Hash()), !o.NoFuse, o.MaxFuseQubits)
 }
 
 func (s *Service) simulate(j *job, c *circuit.Circuit) (*cacheEntry, error) {
@@ -1528,12 +1534,11 @@ func (s *Service) simulate(j *job, c *circuit.Circuit) (*cacheEntry, error) {
 // cacheKey is the content address of one simulation: the circuit
 // fingerprint plus every option that can change the produced state or plan.
 // Workers, Model and SkipState are excluded — they affect speed and
-// metrics, never the amplitudes — and the fuse policy collapses to its
-// Enabled bit (FuseAuto and FuseOn execute identically). The backend is
+// metrics, never the amplitudes. The backend is
 // keyed by its RESOLVED name, so an explicit "hier" and the single-node
 // default share entries while e.g. "flat" (whose float schedule differs)
 // gets its own.
 func cacheKey(c *circuit.Circuit, o core.Options, backendName string) string {
 	return fmt.Sprintf("%s|b=%s s=%s lm=%d r=%d lm2=%d f=%t mf=%d seed=%d",
-		c.Fingerprint(), backendName, o.Strategy, o.Lm, o.Ranks, o.SecondLevelLm, o.Fuse.Enabled(), o.MaxFuseQubits, o.Seed)
+		c.Fingerprint(), backendName, o.Strategy, o.Lm, o.Ranks, o.SecondLevelLm, !o.NoFuse, o.MaxFuseQubits, o.Seed)
 }

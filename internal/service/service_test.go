@@ -154,15 +154,19 @@ func TestCacheHitSkipsSimulationBitIdentical(t *testing.T) {
 		}
 	}
 
-	// FuseAuto and FuseOn execute identically, so they share an entry.
-	req4 := req
-	req4.Options.Fuse = core.FuseOn
-	same, err := s.Do(context.Background(), req4)
+	// "fuse": "on" parses to the default (fused) options, so it shares an
+	// entry with the request that left fusion unset.
+	req4, err := ParseRequest([]byte(`{"circuit": {"family": "qft", "qubits": 9}, "kind": "statevector",
+		"options": {"strategy": "dagp", "lm": 6, "fuse": "on"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	same, err := s.Do(context.Background(), *req4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !same.CacheHit {
-		t.Fatal("FuseOn must share FuseAuto's cache entry")
+		t.Fatal(`"fuse": "on" must share the default request's cache entry`)
 	}
 
 	// Different options → different key → fresh simulation.

@@ -154,22 +154,9 @@ func (s *Service) validateOptimize(req Request) error {
 	return nil
 }
 
-// templateEntry wraps a compiled fuse.Template for the plan LRU.
+// templateEntry wraps a compiled template program for the plan LRU.
 type templateEntry struct {
-	tpl *fuse.Template
-}
-
-// templateCost estimates a template's resident bytes: the fused payloads
-// plus the shared kernel index tables (roughly one int per amplitude
-// touched, approximated by the payload size again).
-func templateCost(t *fuse.Template) int64 {
-	var b int64 = 1024
-	for i := range t.Blocks {
-		b += int64(len(t.Blocks[i].Diag)) * 16
-		b += int64(len(t.Blocks[i].Matrix.Data)) * 16
-		b += int64(len(t.Blocks[i].Gates)) * 256
-	}
-	return 2 * b
+	tpl *fuse.Program
 }
 
 // templateFor returns the compiled template for the circuit's TEMPLATE
@@ -178,8 +165,8 @@ func templateCost(t *fuse.Template) int64 {
 // they are small, hot, and must survive bursts of giant state entries.
 // Every real compile bumps Stats.TemplateCompiles — the counter the sweep
 // acceptance gate watches.
-func (s *Service) templateFor(c *circuit.Circuit, o core.Options) (*fuse.Template, bool, error) {
-	key := fmt.Sprintf("tpl|%s|mf=%d", c.Fingerprint(), o.MaxFuseQubits)
+func (s *Service) templateFor(c *circuit.Circuit, o core.Options) (*fuse.Program, bool, error) {
+	key := fmt.Sprintf("tpl|%s|f=%t mf=%d", c.Fingerprint(), !o.NoFuse, o.MaxFuseQubits)
 	s.mu.Lock()
 	if v, ok := s.planCache.Get(key); ok {
 		s.mu.Unlock()
@@ -189,13 +176,13 @@ func (s *Service) templateFor(c *circuit.Circuit, o core.Options) (*fuse.Templat
 	s.mu.Unlock()
 	s.m.cacheMisses.With(cachePlan).Inc()
 	s.m.templateCompiles.Inc()
-	tpl, err := fuse.CompileTemplate(c, fuse.Options{MaxQubits: o.MaxFuseQubits})
+	tpl, err := fuse.Compile(c.Gates, c.NumQubits, !o.NoFuse, fuse.Options{MaxQubits: o.MaxFuseQubits})
 	if err != nil {
 		return nil, false, err
 	}
 	s.mu.Lock()
-	if s.planCache.Put(key, &templateEntry{tpl: tpl}, templateCost(tpl)) {
-		s.m.cachePut(cachePlan, templateCost(tpl))
+	if s.planCache.Put(key, &templateEntry{tpl: tpl}, tpl.MemoryBytes()) {
+		s.m.cachePut(cachePlan, tpl.MemoryBytes())
 	}
 	s.mu.Unlock()
 	return tpl, false, nil
@@ -206,8 +193,9 @@ func (s *Service) templateFor(c *circuit.Circuit, o core.Options) (*fuse.Templat
 // digest, and repeats of the same bound run cost sampling only — the same
 // economics entryFor gives concrete circuits.
 func (s *Service) templateEntryFor(j *job, env map[string]float64) (*cacheEntry, bool, error) {
-	key := fmt.Sprintf("tplrun|%s|%s|mf=%d w=%d",
-		j.req.Circuit.Fingerprint(), circuit.BindingDigest(env), j.req.Options.MaxFuseQubits, j.req.Options.Workers)
+	o := j.req.Options
+	key := fmt.Sprintf("tplrun|%s|%s|f=%t mf=%d w=%d",
+		j.req.Circuit.Fingerprint(), circuit.BindingDigest(env), !o.NoFuse, o.MaxFuseQubits, o.Workers)
 	v, hit, err := s.cachedCompute(j, key, func() (costed, error) {
 		j.trace.Begin(stageCompile)
 		tpl, _, err := s.templateFor(j.req.Circuit, j.req.Options)
@@ -270,67 +258,28 @@ func (s *Service) executeSweep(j *job) (*Result, error) {
 		Waited: j.started.Sub(j.submitted),
 	}
 	rep := &core.SweepReport{Points: make([]core.SweepPoint, 0, len(bindings))}
-
+	var plan *noise.Plan // non-nil under an effective noise model
+	var run noise.RunConfig
+	workers := req.Options.Workers
+	j.trace.Begin(stageCompile)
 	if !req.Noise.IsZero() {
 		// Trajectory-ensemble sweep: widen across the shared token pool
 		// exactly like executeNoisy, then run one seeded ensemble per point
 		// over the shared compiled plan.
-		width := 1
-		for width < s.cfg.Workers {
-			select {
-			case <-s.trajTokens:
-				width++
-				continue
-			default:
-			}
-			break
-		}
-		defer func() {
-			for i := 1; i < width; i++ {
-				s.trajTokens <- struct{}{}
-			}
-		}()
-		run := spec.NoisyRunConfig(width)
-		j.trace.Begin(stageCompile)
-		plan, hit, err := s.noisePlanFor(j)
-		if err != nil {
+		width, release := s.widenTrajectories()
+		defer release()
+		workers = width
+		run = spec.NoisyRunConfig(width)
+		var hit bool
+		var err error
+		if plan, hit, err = s.noisePlanFor(j); err != nil {
 			return nil, err
 		}
 		if !hit {
 			rep.Compiles++
 		}
 		res.CacheHit = hit
-		if plan.NoiseFree() {
-			// Zero-effect model: ideal template runs with readout error
-			// applied at sampling, mirroring the concrete-circuit fast path.
-			tpl, thit, err := s.templateFor(req.Circuit, req.Options)
-			if err != nil {
-				return nil, err
-			}
-			if !thit {
-				rep.Compiles++
-			}
-			s.setBackend(j, j.idealBackend)
-			res.Backend = j.idealBackend
-			rep.TouchedBlocks = tpl.TouchedBlocks()
-			rep.SharedBlocks = len(tpl.Blocks) - tpl.TouchedBlocks()
-			j.trace.Begin(stageExecute)
-			for i, env := range bindings {
-				if err := j.ctx.Err(); err != nil {
-					return nil, err
-				}
-				st, err := tpl.Run(env, width)
-				if err != nil {
-					return nil, fmt.Errorf("binding %d: %w", i, err)
-				}
-				ens, err := noise.RunEnsembleFromState(j.ctx, st, plan.Readout(), run)
-				if err != nil {
-					return nil, err
-				}
-				rep.Trajectories = ens.Trajectories
-				rep.Points = append(rep.Points, core.SweepPoint{Binding: env, Readouts: core.ReadoutsFromEnsemble(ens, spec)})
-			}
-		} else {
+		if !plan.NoiseFree() {
 			s.setBackend(j, BackendTrajectory)
 			res.Backend = BackendTrajectory
 			j.trace.Begin(stageExecute)
@@ -350,17 +299,12 @@ func (s *Service) executeSweep(j *job) (*Result, error) {
 				s.m.trajectories.Add(int64(ens.Trajectories))
 				rep.Points = append(rep.Points, core.SweepPoint{Binding: env, Readouts: core.ReadoutsFromEnsemble(ens, spec)})
 			}
+			return finishSweep(res, rep, start), nil
 		}
-		rep.Elapsed = time.Since(start)
-		res.Sweep = rep
-		res.Trajectories = rep.Trajectories
-		res.Elapsed = time.Since(start)
-		return res, nil
+		// Zero-effect model: ideal template runs with readout error
+		// applied at sampling, mirroring the concrete-circuit fast path.
 	}
 
-	s.setBackend(j, j.idealBackend)
-	res.Backend = j.idealBackend
-	j.trace.Begin(stageCompile)
 	tpl, hit, err := s.templateFor(req.Circuit, req.Options)
 	if err != nil {
 		return nil, err
@@ -368,7 +312,11 @@ func (s *Service) executeSweep(j *job) (*Result, error) {
 	if !hit {
 		rep.Compiles++
 	}
-	res.CacheHit = hit
+	if plan == nil {
+		res.CacheHit = hit
+	}
+	s.setBackend(j, j.idealBackend)
+	res.Backend = j.idealBackend
 	rep.TouchedBlocks = tpl.TouchedBlocks()
 	rep.SharedBlocks = len(tpl.Blocks) - tpl.TouchedBlocks()
 	j.trace.Begin(stageExecute)
@@ -376,16 +324,33 @@ func (s *Service) executeSweep(j *job) (*Result, error) {
 		if err := j.ctx.Err(); err != nil {
 			return nil, err
 		}
-		st, err := tpl.Run(env, req.Options.Workers)
+		st, err := tpl.Run(env, workers)
 		if err != nil {
 			return nil, fmt.Errorf("binding %d: %w", i, err)
 		}
-		rep.Points = append(rep.Points, core.SweepPoint{Binding: env, Readouts: core.EvaluateState(st, nil, spec)})
+		var ro *core.Readouts
+		if plan == nil {
+			ro = core.EvaluateState(st, nil, spec)
+		} else {
+			ens, err := noise.RunEnsembleFromState(j.ctx, st, plan.Readout(), run)
+			if err != nil {
+				return nil, err
+			}
+			rep.Trajectories = ens.Trajectories
+			ro = core.ReadoutsFromEnsemble(ens, spec)
+		}
+		rep.Points = append(rep.Points, core.SweepPoint{Binding: env, Readouts: ro})
 	}
+	return finishSweep(res, rep, start), nil
+}
+
+// finishSweep attaches the sweep report and its timings to the result.
+func finishSweep(res *Result, rep *core.SweepReport, start time.Time) *Result {
 	rep.Elapsed = time.Since(start)
 	res.Sweep = rep
+	res.Trajectories = rep.Trajectories
 	res.Elapsed = time.Since(start)
-	return res, nil
+	return res
 }
 
 // executeOptimize runs the server-side variational loop. The loop owns its
