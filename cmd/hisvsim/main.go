@@ -193,10 +193,13 @@ func main() {
 			SecondLevelLm: *lm2, Seed: *seed,
 			NoFuse: noFuse, MaxFuseQubits: *fuseMax, Noise: model,
 		}
+		if obs, err = withZString(*zString, c.NumQubits, obs); err != nil {
+			fatal(err)
+		}
 		if isExactBackend(*backendN) {
-			runExact(c, opts, *shots, *zString, *noiseSeed, obs)
+			runExact(c, opts, *shots, *noiseSeed, obs)
 		} else {
-			runNoisy(c, opts, *traj, *shots, *zString, *noiseSeed, obs)
+			runNoisy(c, opts, *traj, *shots, *noiseSeed, obs)
 		}
 		return
 	}
@@ -391,24 +394,34 @@ func parseObservables(s string) ([]hisvsim.PauliString, error) {
 	return out, nil
 }
 
+// withZString lowers the -expect-z qubit list onto one Z-string
+// observable (⟨∏ Z_q⟩ is the Pauli string "Z…"), placed ahead of the
+// -observables terms and validated against the circuit like them.
+func withZString(zString string, n int, obs []hisvsim.PauliString) ([]hisvsim.PauliString, error) {
+	if zString == "" {
+		return obs, nil
+	}
+	p := hisvsim.PauliString{}
+	for _, f := range strings.Split(zString, ",") {
+		q, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil {
+			return nil, fmt.Errorf("bad -expect-z qubit %q", f)
+		}
+		p.Ops += "Z"
+		p.Qubits = append(p.Qubits, q)
+	}
+	if err := p.Validate(n); err != nil {
+		return nil, fmt.Errorf("-expect-z: %w", err)
+	}
+	return append([]hisvsim.PauliString{p}, obs...), nil
+}
+
 // runExact executes a noisy run on an exact-noise backend ("dm"): one
 // deterministic density-matrix evolution answers counts and observables —
 // no trajectory count, no standard errors, observable values independent
 // of the sampling seed.
-func runExact(c *hisvsim.Circuit, opts hisvsim.Options, shots int, zString string, seed int64, obs []hisvsim.PauliString) {
+func runExact(c *hisvsim.Circuit, opts hisvsim.Options, shots int, seed int64, obs []hisvsim.PauliString) {
 	spec := hisvsim.ReadoutSpec{Shots: shots, Seed: seed}
-	if zString != "" {
-		p := hisvsim.PauliString{}
-		for _, f := range strings.Split(zString, ",") {
-			var q int
-			if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &q); err != nil {
-				fatal(fmt.Errorf("bad -expect-z qubit %q", f))
-			}
-			p.Ops += "Z"
-			p.Qubits = append(p.Qubits, q)
-		}
-		obs = append([]hisvsim.PauliString{p}, obs...)
-	}
 	for _, p := range obs {
 		spec.Observables = append(spec.Observables, hisvsim.Observable{
 			Coeff: p.Coeff, Paulis: p.Ops, Qubits: p.Qubits,
@@ -427,17 +440,8 @@ func runExact(c *hisvsim.Circuit, opts hisvsim.Options, shots int, zString strin
 }
 
 // runNoisy executes and reports a trajectory ensemble.
-func runNoisy(c *hisvsim.Circuit, opts hisvsim.Options, traj, shots int, zString string, seed int64, obs []hisvsim.PauliString) {
+func runNoisy(c *hisvsim.Circuit, opts hisvsim.Options, traj, shots int, seed int64, obs []hisvsim.PauliString) {
 	run := hisvsim.NoisyRun{Trajectories: traj, Seed: seed, Shots: shots, Observables: obs}
-	if zString != "" {
-		for _, f := range strings.Split(zString, ",") {
-			var q int
-			if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &q); err != nil {
-				fatal(fmt.Errorf("bad -expect-z qubit %q", f))
-			}
-			run.Qubits = append(run.Qubits, q)
-		}
-	}
 	ens, err := hisvsim.SimulateNoisy(c, opts, run)
 	if err != nil {
 		fatal(err)
@@ -445,9 +449,6 @@ func runNoisy(c *hisvsim.Circuit, opts hisvsim.Options, traj, shots int, zString
 	fmt.Printf("noisy ensemble: %s in %s\n", ens, ens.Elapsed)
 	fmt.Printf("  channel draws: %d (pauli insertions %d, kraus applications %d)\n",
 		ens.Stats.Locations, ens.Stats.PauliApplied, ens.Stats.KrausApplied)
-	if ens.HasExpectation {
-		fmt.Printf("  ⟨∏ Z_%v⟩ = %.6f ± %.6f\n", run.Qubits, ens.Expectation, ens.StdErr)
-	}
 	for k, st := range ens.Observables {
 		fmt.Printf("  observable %s = %.6f ± %.6f\n", obs[k], st.Mean, st.StdErr)
 	}

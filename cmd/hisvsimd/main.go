@@ -38,11 +38,12 @@
 //	  "options": {"strategy": "dagp"}
 //	}'
 //
-// The v1 kinds (statevector/sample/expectation/probabilities and the noisy
-// pair) remain as deprecated shims with byte-compatible responses.
+// Kinds "sweep" and "optimize" evaluate parameterized templates; any other
+// kind (including the v1 statevector/sample/expectation/probabilities and
+// noisy_* kinds, removed in 1.0.0) is a 400.
 //
 // Noisy trajectory ensembles ride the same queue (kind "run" plus a
-// "noise" spec, or the legacy noisy kinds); channel probabilities, readout
+// "noise" spec); channel probabilities, readout
 // rates and trajectory counts are bounds-checked at submit and rejected
 // with 400s. Compiled trajectory plans cache in their own small LRU
 // (-plan-cache-mb) so statevector entries cannot evict them.

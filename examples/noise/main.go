@@ -54,12 +54,14 @@ func main() {
 	}
 	dec, err := hisvsim.SimulateNoisy(chain,
 		hisvsim.Options{Noise: hisvsim.GlobalNoise(hisvsim.Depolarizing(p))},
-		hisvsim.NoisyRun{Trajectories: 4000, Seed: 1, Qubits: []int{0}})
+		hisvsim.NoisyRun{Trajectories: 4000, Seed: 1,
+			Observables: []hisvsim.PauliString{{Ops: "Z", Qubits: []int{0}}}})
 	if err != nil {
 		log.Fatal(err)
 	}
+	z := dec.Observables[0]
 	fmt.Printf("depolarizing decay: ⟨Z⟩ = %.4f ± %.4f, analytic (1-4p/3)^%d = %.4f\n",
-		dec.Expectation, dec.StdErr, k, math.Pow(1-4*p/3, k))
+		z.Mean, z.StdErr, k, math.Pow(1-4*p/3, k))
 
 	// The same ensembles run as service jobs: the compiled circuit+noise
 	// plan is cached, so repeat requests skip compilation and replay it.
@@ -67,8 +69,8 @@ func main() {
 	defer svc.Close()
 	for i, seed := range []int64{1, 2} {
 		res, err := svc.Do(context.Background(), hisvsim.ServiceRequest{
-			Circuit: ghz, Kind: hisvsim.KindNoisySample,
-			Shots: 2048, Seed: seed, Trajectories: 100, Noise: model,
+			Circuit: ghz, Kind: hisvsim.KindRun, Noise: model,
+			Readouts: hisvsim.ReadoutSpec{Shots: 2048, Seed: seed, Trajectories: 100},
 		})
 		if err != nil {
 			log.Fatal(err)

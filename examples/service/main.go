@@ -1,7 +1,7 @@
 // Example service: drive the asynchronous simulation service
 // programmatically — submit a burst of differently-seeded shot requests
 // against one circuit and watch the cache amortize the simulation, then
-// read out expectation values and marginals from the same cached state.
+// read out an observable and a marginal from the same cached state.
 package main
 
 import (
@@ -23,7 +23,8 @@ func main() {
 
 	// Async submit → poll → wait.
 	id, err := svc.Submit(hisvsim.ServiceRequest{
-		Circuit: c, Kind: hisvsim.KindSample, Shots: 1000, Seed: 1, Options: opts,
+		Circuit: c, Kind: hisvsim.KindRun,
+		Readouts: hisvsim.ReadoutSpec{Shots: 1000, Seed: 1}, Options: opts,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -41,7 +42,8 @@ func main() {
 	start := time.Now()
 	for seed := int64(2); seed <= 9; seed++ {
 		res, err := svc.Do(ctx, hisvsim.ServiceRequest{
-			Circuit: c, Kind: hisvsim.KindSample, Shots: 1000, Seed: seed, Options: opts,
+			Circuit: c, Kind: hisvsim.KindRun,
+			Readouts: hisvsim.ReadoutSpec{Shots: 1000, Seed: seed}, Options: opts,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -53,19 +55,17 @@ func main() {
 	fmt.Printf("8 warm sample requests in %v\n", time.Since(start).Round(time.Microsecond))
 
 	// Other read-outs reuse the same entry.
-	exp, err := svc.Do(ctx, hisvsim.ServiceRequest{
-		Circuit: c, Kind: hisvsim.KindExpectation, Qubits: []int{0, 1}, Options: opts,
+	ro, err := svc.Do(ctx, hisvsim.ServiceRequest{
+		Circuit: c, Kind: hisvsim.KindRun, Options: opts,
+		Readouts: hisvsim.ReadoutSpec{
+			Observables: []hisvsim.Observable{{Paulis: "ZZ", Qubits: []int{0, 1}}},
+			Marginals:   [][]int{{0, 1, 2}},
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	probs, err := svc.Do(ctx, hisvsim.ServiceRequest{
-		Circuit: c, Kind: hisvsim.KindProbabilities, Qubits: []int{0, 1, 2}, Options: opts,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("⟨Z0Z1⟩ = %.6f, marginal(q0..q2) has %d bins\n", exp.Expectation, len(probs.Probabilities))
+	fmt.Printf("⟨Z0Z1⟩ = %.6f, marginal(q0..q2) has %d bins\n", ro.Observables[0].Value, len(ro.Marginals[0]))
 
 	st := svc.Stats()
 	fmt.Printf("stats: %d jobs, %d simulations, %d cache hits\n", st.Completed, st.Simulations, st.CacheHits)

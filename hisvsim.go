@@ -208,12 +208,13 @@ type NoiseChannel = noise.Channel
 type Readout = noise.Readout
 
 // NoisyRun configures a trajectory ensemble: size, seed, parallelism, and
-// the requested read-outs (Shots for counts, Qubits for a Z-string
-// expectation).
+// the requested read-outs (Shots for counts, Observables for weighted
+// Pauli strings — a Z string is Ops "Z…" — and Marginals).
 type NoisyRun = noise.RunConfig
 
 // NoisyEnsemble is the aggregated result of a trajectory run: counts,
-// expectation ± standard error, and stochastic-work statistics.
+// observable means ± standard errors, marginals, and stochastic-work
+// statistics.
 type NoisyEnsemble = noise.Ensemble
 
 // PauliString is a weighted Pauli operator in the state-kernel form
@@ -262,8 +263,9 @@ func CorrelatedDepolarizing2(p float64) NoiseChannel { return noise.CorrelatedDe
 // SimulateNoisy runs a stochastic trajectory ensemble of the circuit under
 // opts.Noise: the circuit plus noise model compiles once into a fused
 // trajectory plan, run.Trajectories seeded trajectories replay it in
-// parallel, and the ensemble aggregates sampled counts (run.Shots) and/or a
-// Z-string expectation with standard error (run.Qubits). A zero-effect
+// parallel, and the ensemble aggregates sampled counts (run.Shots),
+// weighted Pauli observables with standard errors (run.Observables) and
+// marginals (run.Marginals). A zero-effect
 // model reduces to ONE ideal simulation (strategy/ranks honored,
 // bit-for-bit identical to Simulate) plus sampling.
 //
@@ -373,8 +375,8 @@ type Service = service.Service
 // job retention, qubit limit). The zero value selects sensible defaults.
 type ServiceConfig = service.Config
 
-// ServiceRequest describes one job: the circuit, the read-out kind, and
-// kind-specific fields (shots + seed, qubits) plus simulation Options.
+// ServiceRequest describes one job: the circuit, the kind, its ReadoutSpec
+// (or sweep/optimize spec) plus simulation Options.
 type ServiceRequest = service.Request
 
 // ServiceResult is a completed job's payload.
@@ -390,22 +392,10 @@ type JobInfo = service.JobInfo
 // RequestKind selects what a service job computes.
 type RequestKind = service.Kind
 
-// Request kinds for ServiceRequest.Kind.
-const (
-	// KindRun is the v2 unified kind: ServiceRequest.Readouts holds a
-	// ReadoutSpec and one cached simulation answers every listed read-out.
-	KindRun = service.KindRun
-
-	// Deprecated single-readout kinds (thin shims over KindRun's path;
-	// responses stay byte-compatible with the v1 surface).
-	KindStatevector   = service.KindStatevector   // full amplitude vector
-	KindSample        = service.KindSample        // seeded shot sampling
-	KindExpectation   = service.KindExpectation   // ⟨∏ Z_q⟩ Pauli-Z string
-	KindProbabilities = service.KindProbabilities // marginal distribution
-
-	KindNoisySample      = service.KindNoisySample      // trajectory-ensemble counts
-	KindNoisyExpectation = service.KindNoisyExpectation // trajectory-mean ⟨∏ Z_q⟩ ± stderr
-)
+// KindRun is the ServiceRequest.Kind that evaluates a ReadoutSpec
+// (ServiceRequest.Readouts): one cached simulation answers every listed
+// read-out.
+const KindRun = service.KindRun
 
 // NewService starts the asynchronous simulation service with its worker
 // pool running. Close it when done:
@@ -413,9 +403,9 @@ const (
 //	svc := hisvsim.NewService(hisvsim.ServiceConfig{Workers: 4})
 //	defer svc.Close()
 //	res, err := svc.Do(ctx, hisvsim.ServiceRequest{
-//		Circuit: hisvsim.MustCircuit("qft", 18),
-//		Kind:    hisvsim.KindSample,
-//		Shots:   1000, Seed: 7,
+//		Circuit:  hisvsim.MustCircuit("qft", 18),
+//		Kind:     hisvsim.KindRun,
+//		Readouts: hisvsim.ReadoutSpec{Shots: 1000, Seed: 7},
 //	})
 func NewService(cfg ServiceConfig) *Service { return service.New(cfg) }
 

@@ -152,7 +152,7 @@ func TestFacadeService(t *testing.T) {
 	defer svc.Close()
 	c := MustCircuit("qft", 8)
 	res, err := svc.Do(context.Background(), ServiceRequest{
-		Circuit: c, Kind: KindSample, Shots: 64, Seed: 3,
+		Circuit: c, Kind: KindRun, Readouts: ReadoutSpec{Shots: 64, Seed: 3},
 		Options: Options{Strategy: "dagp", Lm: 5},
 	})
 	if err != nil {
@@ -164,7 +164,7 @@ func TestFacadeService(t *testing.T) {
 	// Second request on a freshly built but identical circuit hits the
 	// cache via the content fingerprint.
 	warm, err := svc.Do(context.Background(), ServiceRequest{
-		Circuit: MustCircuit("qft", 8), Kind: KindSample, Shots: 64, Seed: 3,
+		Circuit: MustCircuit("qft", 8), Kind: KindRun, Readouts: ReadoutSpec{Shots: 64, Seed: 3},
 		Options: Options{Strategy: "dagp", Lm: 5},
 	})
 	if err != nil {
@@ -215,7 +215,8 @@ func TestFacadeSimulateNoisy(t *testing.T) {
 	c := MustCircuit("ising", 8)
 	model := GlobalNoise(Depolarizing(0.01)).WithReadout(0.01, 0.01)
 	ens, err := SimulateNoisy(c, Options{Noise: model}, NoisyRun{
-		Trajectories: 50, Seed: 2, Shots: 500, Qubits: []int{0, 1},
+		Trajectories: 50, Seed: 2, Shots: 500,
+		Observables: []PauliString{{Ops: "ZZ", Qubits: []int{0, 1}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -230,8 +231,8 @@ func TestFacadeSimulateNoisy(t *testing.T) {
 	if total != 500 {
 		t.Fatalf("counts sum to %d", total)
 	}
-	if !ens.HasExpectation || math.Abs(ens.Expectation) > 1 {
-		t.Fatalf("expectation %v (has=%v)", ens.Expectation, ens.HasExpectation)
+	if len(ens.Observables) != 1 || math.Abs(ens.Observables[0].Mean) > 1 {
+		t.Fatalf("⟨Z0Z1⟩ estimate %+v", ens.Observables)
 	}
 
 	// Ideal Simulate refuses the model; SimulateNoisy without noise takes
@@ -247,11 +248,11 @@ func TestFacadeSimulateNoisy(t *testing.T) {
 		t.Fatal("ideal ensemble missed the noise-free fast path")
 	}
 
-	// The service speaks the noisy kinds too.
+	// The service runs noisy ensembles too.
 	svc := NewService(ServiceConfig{Workers: 2})
 	defer svc.Close()
 	res, err := svc.Do(context.Background(), ServiceRequest{
-		Circuit: c, Kind: KindNoisySample, Shots: 200, Trajectories: 10,
+		Circuit: c, Kind: KindRun, Readouts: ReadoutSpec{Shots: 200, Trajectories: 10},
 		Noise: model,
 	})
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -480,14 +481,23 @@ func TestClusterTraceTiles(t *testing.T) {
 func TestClusterRejectsBadRequests(t *testing.T) {
 	w1 := startWorker(t)
 	_, csrv := startCoordinator(t, []string{w1.URL}, nil)
-	resp, err := http.Post(csrv.URL+"/v1/jobs", "application/json",
-		bytes.NewReader([]byte(`{"circuit": {"family": "nope", "qubits": 4}, "kind": "run"}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad request got %d, want 400", resp.StatusCode)
+	for _, body := range []string{
+		`{"circuit": {"family": "nope", "qubits": 4}, "kind": "run"}`,
+		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "sample", "shots": 16}`, // removed v1 kind
+	} {
+		resp, err := http.Post(csrv.URL+"/v1/jobs", "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got map[string]string
+		_ = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%.50s: got %d, want 400", body, resp.StatusCode)
+		}
+		if strings.Contains(body, `"sample"`) && !strings.Contains(got["error"], "[run sweep optimize]") {
+			t.Errorf("removed kind error %q does not name the accepted kinds", got["error"])
+		}
 	}
 }
 

@@ -11,22 +11,19 @@ import (
 // Everything it does not model (samples, amplitudes, …) is excluded from
 // split jobs by planFor, so nothing is silently dropped.
 type subResult struct {
-	Kind          string          `json:"kind"`
-	NumQubits     int             `json:"num_qubits"`
-	CacheHit      bool            `json:"cache_hit"`
-	Parts         int             `json:"parts"`
-	ElapsedMS     float64         `json:"elapsed_ms"`
-	WaitedMS      float64         `json:"waited_ms"`
-	Backend       string          `json:"backend,omitempty"`
-	Counts        map[string]int  `json:"counts,omitempty"`
-	Trajectories  int             `json:"trajectories,omitempty"`
-	Marginals     [][]float64     `json:"marginals,omitempty"`
-	Observables   []subObsValue   `json:"observables,omitempty"`
-	Moments       *subMoments     `json:"moments,omitempty"`
-	Sweep         *subSweepResult `json:"sweep,omitempty"`
-	Probabilities []float64       `json:"probabilities,omitempty"`
-	Samples       []int           `json:"samples,omitempty"`
-	Amplitudes    [][2]float64    `json:"amplitudes,omitempty"`
+	Kind         string          `json:"kind"`
+	NumQubits    int             `json:"num_qubits"`
+	CacheHit     bool            `json:"cache_hit"`
+	Parts        int             `json:"parts"`
+	ElapsedMS    float64         `json:"elapsed_ms"`
+	WaitedMS     float64         `json:"waited_ms"`
+	Backend      string          `json:"backend,omitempty"`
+	Counts       map[string]int  `json:"counts,omitempty"`
+	Trajectories int             `json:"trajectories,omitempty"`
+	Marginals    [][]float64     `json:"marginals,omitempty"`
+	Observables  []subObsValue   `json:"observables,omitempty"`
+	Moments      *subMoments     `json:"moments,omitempty"`
+	Sweep        *subSweepResult `json:"sweep,omitempty"`
 }
 
 type subObsValue struct {

@@ -157,7 +157,7 @@ func TestDMCapabilityErrors(t *testing.T) {
 	// multi-rank noisy request with no explicit backend still runs as a
 	// trajectory ensemble (the pre-registry behavior), not a rejection.
 	if ens, err := SimulateNoisy(small, Options{Ranks: 2, Noise: model},
-		noise.RunConfig{Trajectories: 5, Qubits: []int{0}}); err != nil {
+		noise.RunConfig{Trajectories: 5, Observables: zString(0)}); err != nil {
 		t.Errorf("default-backend multi-rank noisy run rejected: %v", err)
 	} else if ens.Trajectories != 5 {
 		t.Errorf("default-backend multi-rank noisy run: %d trajectories, want 5", ens.Trajectories)

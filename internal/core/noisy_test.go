@@ -2,12 +2,19 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/gate"
 	"hisvsim/internal/noise"
+	"hisvsim/internal/sv"
 )
+
+// zString is the Z-string observable ⟨∏ Z_q⟩ over qubits.
+func zString(qubits ...int) []sv.PauliString {
+	return []sv.PauliString{{Ops: strings.Repeat("Z", len(qubits)), Qubits: qubits}}
+}
 
 // zeroModel is structurally noisy (rules for every channel family plus a
 // readout stanza) but has every probability at zero — it must compile away
@@ -52,7 +59,7 @@ func TestZeroNoiseMatchesIdealBitForBit(t *testing.T) {
 
 		noisyOpts := opts
 		noisyOpts.Noise = zeroModel()
-		run := noise.RunConfig{Trajectories: 4, Seed: 11, Shots: 64, Qubits: qubits}
+		run := noise.RunConfig{Trajectories: 4, Seed: 11, Shots: 64, Observables: zString(qubits...)}
 		a, err := SimulateNoisy(c, noisyOpts, run)
 		if err != nil {
 			t.Fatalf("%+v: noisy: %v", opts, err)
@@ -60,12 +67,12 @@ func TestZeroNoiseMatchesIdealBitForBit(t *testing.T) {
 		if !a.NoiseFree {
 			t.Fatalf("%+v: zero model missed the ideal fast path", opts)
 		}
-		if a.Expectation != want {
+		if z := a.Observables[0]; z.Mean != want {
 			t.Fatalf("%+v: zero-noise ⟨Z⟩ = %v, ideal = %v (must be identical)",
-				opts, a.Expectation, want)
+				opts, z.Mean, want)
 		}
-		if a.StdErr != 0 {
-			t.Fatalf("%+v: zero-noise stderr %v, want exactly 0", opts, a.StdErr)
+		if se := a.Observables[0].StdErr; se != 0 {
+			t.Fatalf("%+v: zero-noise stderr %v, want exactly 0", opts, se)
 		}
 
 		// Same seed ⇒ identical counts; and a nil model agrees with the
@@ -113,7 +120,7 @@ func TestSimulateNoisySeededReproducibility(t *testing.T) {
 	opts := Options{Noise: noise.Global(noise.Depolarizing(0.02)).WithReadout(0.01, 0.01)}
 	run := func(workers int) *noise.Ensemble {
 		e, err := SimulateNoisy(c, opts, noise.RunConfig{
-			Trajectories: 30, Seed: 42, Workers: workers, Shots: 300, Qubits: []int{0, 1},
+			Trajectories: 30, Seed: 42, Workers: workers, Shots: 300, Observables: zString(0, 1),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -121,7 +128,7 @@ func TestSimulateNoisySeededReproducibility(t *testing.T) {
 		return e
 	}
 	a, b, c8 := run(2), run(2), run(8)
-	if a.Expectation != b.Expectation || a.Expectation != c8.Expectation {
+	if a.Observables[0] != b.Observables[0] || a.Observables[0] != c8.Observables[0] {
 		t.Fatal("expectation not reproducible across runs/workers")
 	}
 	for k, v := range a.Counts {
@@ -146,12 +153,12 @@ func TestSimulateNoisyDecay(t *testing.T) {
 		c.Append(gate.ID(0))
 	}
 	opts := Options{Noise: noise.OnGates(noise.Depolarizing(p), "id")}
-	ens, err := SimulateNoisy(c, opts, noise.RunConfig{Trajectories: 3000, Seed: 5, Qubits: []int{0}})
+	ens, err := SimulateNoisy(c, opts, noise.RunConfig{Trajectories: 3000, Seed: 5, Observables: zString(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := math.Pow(1-4*p/3, k)
-	if math.Abs(ens.Expectation-want) > 6*ens.StdErr+1e-9 {
-		t.Fatalf("⟨Z⟩ = %.4f ± %.4f, analytic %.4f", ens.Expectation, ens.StdErr, want)
+	if z := ens.Observables[0]; math.Abs(z.Mean-want) > 6*z.StdErr+1e-9 {
+		t.Fatalf("⟨Z⟩ = %.4f ± %.4f, analytic %.4f", z.Mean, z.StdErr, want)
 	}
 }

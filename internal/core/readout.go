@@ -31,7 +31,7 @@ type Observable struct {
 	Coeff float64
 	// Paulis spells the operator ("XZY"); Qubits lists the qubit each
 	// letter acts on (same length). Only all-Z strings may repeat a qubit
-	// (Z² = I, the legacy Z-string semantics).
+	// (Z² = I: the repeats cancel).
 	Paulis string
 	Qubits []int
 }

@@ -201,7 +201,7 @@ func TestNoisyPathRejectsUnknownBackend(t *testing.T) {
 		t.Fatal("unknown backend accepted on the noisy path")
 	}
 	if _, err := SimulateNoisy(c, Options{Backend: "warp-drive", Noise: model},
-		noise.RunConfig{Trajectories: 2, Qubits: []int{0}}); err == nil {
+		noise.RunConfig{Trajectories: 2, Observables: zString(0)}); err == nil {
 		t.Fatal("SimulateNoisy accepted an unknown backend")
 	}
 }

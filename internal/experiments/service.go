@@ -100,8 +100,9 @@ func ServiceBench(cfg ServiceConfig) (*ServiceReport, error) {
 	opts := core.Options{Strategy: cfg.Strategy, Seed: cfg.Seed}
 	req := func(seed int64) service.Request {
 		return service.Request{
-			Circuit: c, Kind: service.KindSample, Shots: cfg.Shots,
-			Seed: seed, Options: opts,
+			Circuit: c, Kind: service.KindRun,
+			Readouts: core.ReadoutSpec{Shots: cfg.Shots, Seed: seed},
+			Options:  opts,
 		}
 	}
 	rep := &ServiceReport{

@@ -51,12 +51,9 @@ type RunConfig struct {
 	// Shots, when > 0, draws this many basis-state samples in total,
 	// distributed across trajectories (readout error applied per shot).
 	Shots int
-	// Qubits, when non-nil, also estimates ⟨∏ Z_q⟩ over the listed qubits:
-	// the trajectory mean with its standard error (the legacy Z-string
-	// read-out; Observables is the general form).
-	Qubits []int
 	// Observables, when non-empty, estimates each weighted Pauli string
-	// (Coeff·⟨∏ σ⟩) as a trajectory mean with standard error. Measuring
+	// (Coeff·⟨∏ σ⟩; a Z string ⟨∏ Z_q⟩ is Ops "Z…") as a trajectory mean
+	// with standard error. Measuring
 	// draws nothing from the trajectory RNGs, so adding observables never
 	// perturbs the sampled counts.
 	Observables []sv.PauliString
@@ -106,9 +103,6 @@ type Moment struct {
 	// Count is how many trajectories contributed (MomentChunk except for a
 	// tail chunk).
 	Count int
-	// Exp is the [sum, sum of squares] of the legacy Z-string expectation
-	// (RunConfig.Qubits); zero unless that readout was requested.
-	Exp [2]float64
 	// Obs is one [sum, sum of squares] per RunConfig.Observables entry.
 	Obs [][2]float64
 	// Marg is one per-entry probability sum vector per RunConfig.Marginals
@@ -128,19 +122,13 @@ type Ensemble struct {
 	// Counts is the basis-index histogram across all trajectories, with
 	// readout error applied (nil unless Shots > 0).
 	Counts map[int]int
-	// Expectation and StdErr are the trajectory mean of ⟨∏ Z_q⟩ and its
-	// standard error (sample stddev / √T); valid iff HasExpectation.
-	Expectation    float64
-	StdErr         float64
-	HasExpectation bool
 	// Observables holds one trajectory-mean ± stderr per requested
 	// RunConfig.Observables entry, in request order.
 	Observables []ObservableStat
 	// Marginals holds one trajectory-mean probability distribution per
 	// requested RunConfig.Marginals entry, in request order.
 	Marginals [][]float64
-	// Moments are the per-chunk partial sums behind Expectation/Observables/
-	// Marginals (noisy path only; the noise-free fast path computes exact
+	// Moments are the per-chunk partial sums behind Observables/Marginals (noisy path only; the noise-free fast path computes exact
 	// values and carries none). They let MergeEnsembles — or a cluster
 	// coordinator working from wire data — reproduce the full-ensemble
 	// statistics bit for bit from sub-range runs.
@@ -226,10 +214,10 @@ func (c RunConfig) validateReadouts(n int) error {
 }
 
 // RunEnsemble executes cfg.Trajectories stochastic trajectories of the plan
-// in parallel and aggregates counts and/or expectation values. Counts are
-// identical for a fixed (plan, Seed, Trajectories, Shots) regardless of
-// Workers; the expectation is reduced in trajectory order, so it too is
-// bit-stable across worker counts.
+// in parallel and aggregates counts and/or observable and marginal means.
+// Counts are identical for a fixed (plan, Seed, Trajectories, Shots)
+// regardless of Workers; the means are reduced in trajectory order, so
+// they too are bit-stable across worker counts.
 func RunEnsemble(ctx context.Context, p *Plan, cfg RunConfig) (*Ensemble, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validateRange(); err != nil {
@@ -283,15 +271,9 @@ func RunEnsembleFromState(ctx context.Context, st *sv.State, ro *Readout, cfg Ru
 			}
 		}
 	}
-	if cfg.Qubits != nil {
+	if len(cfg.Observables) > 0 {
 		// Every trajectory is the same pure state: the mean is exact and the
 		// trajectory spread is identically zero.
-		ens.HasExpectation = true
-		ens.Expectation = st.ExpectationPauliZString(cfg.Qubits)
-		ens.StdErr = 0
-	}
-	if len(cfg.Observables) > 0 {
-		// Same exactness argument: one shared pure state, zero spread.
 		ens.Observables = make([]ObservableStat, len(cfg.Observables))
 		for k, ob := range cfg.Observables {
 			ens.Observables[k] = ObservableStat{Mean: st.ExpectationPauliString(ob)}
@@ -310,7 +292,6 @@ func RunEnsembleFromState(ctx context.Context, st *sv.State, ro *Readout, cfg Ru
 // trajResult is one trajectory's contribution, merged in trajectory order.
 type trajResult struct {
 	counts map[int]int
-	exp    float64
 	obs    []float64
 	marg   [][]float64
 	stats  TrajStats
@@ -326,7 +307,6 @@ func runTrajectories(ctx context.Context, cfg RunConfig, p *Plan) (*Ensemble, er
 	rec := prof.FromContext(ctx)
 	ro := p.Readout()
 	T := cfg.Trajectories
-	wantExp := cfg.Qubits != nil
 	results := make([]trajResult, T)
 	errs := make([]error, T)
 
@@ -368,9 +348,6 @@ func runTrajectories(ctx context.Context, cfg RunConfig, p *Plan) (*Ensemble, er
 						}
 						r.counts[x]++
 					}
-				}
-				if wantExp {
-					r.exp = st.ExpectationPauliZString(cfg.Qubits)
 				}
 				if len(cfg.Observables) > 0 {
 					r.obs = make([]float64, len(cfg.Observables))
@@ -429,10 +406,6 @@ func runTrajectories(ctx context.Context, cfg RunConfig, p *Plan) (*Ensemble, er
 			cur = &ens.Moments[len(ens.Moments)-1]
 		}
 		cur.Count++
-		if wantExp {
-			cur.Exp[0] += r.exp
-			cur.Exp[1] += r.exp * r.exp
-		}
 		for k, v := range r.obs {
 			cur.Obs[k][0] += v
 			cur.Obs[k][1] += v * v
@@ -445,11 +418,6 @@ func runTrajectories(ctx context.Context, cfg RunConfig, p *Plan) (*Ensemble, er
 		}
 	}
 	agg := AggregateMoments(ens.Moments)
-	if wantExp {
-		ens.HasExpectation = true
-		ens.Expectation = agg.Expectation.Mean
-		ens.StdErr = agg.Expectation.StdErr
-	}
 	ens.Observables = agg.Observables
 	ens.Marginals = agg.Marginals
 	ens.Elapsed = time.Since(start)
@@ -461,9 +429,6 @@ func runTrajectories(ctx context.Context, cfg RunConfig, p *Plan) (*Ensemble, er
 type MomentStats struct {
 	// Trajectories is the summed chunk Count.
 	Trajectories int
-	// Expectation is the legacy Z-string mean ± stderr (meaningful only
-	// when that readout was tracked by the run).
-	Expectation ObservableStat
 	// Observables and Marginals follow the request order the moments were
 	// built with.
 	Observables []ObservableStat
@@ -482,7 +447,6 @@ func AggregateMoments(ms []Moment) MomentStats {
 		return out
 	}
 	numObs := len(ms[0].Obs)
-	var expSum, expSq float64
 	obsSum := make([]float64, numObs)
 	obsSq := make([]float64, numObs)
 	margSum := make([][]float64, len(ms[0].Marg))
@@ -491,8 +455,6 @@ func AggregateMoments(ms []Moment) MomentStats {
 	}
 	for _, m := range ms {
 		out.Trajectories += m.Count
-		expSum += m.Exp[0]
-		expSq += m.Exp[1]
 		for k := range m.Obs {
 			obsSum[k] += m.Obs[k][0]
 			obsSq[k] += m.Obs[k][1]
@@ -504,7 +466,6 @@ func AggregateMoments(ms []Moment) MomentStats {
 		}
 	}
 	T := out.Trajectories
-	out.Expectation = meanStdErr(expSum, expSq, T)
 	if numObs > 0 {
 		out.Observables = make([]ObservableStat, numObs)
 		for k := range out.Observables {
@@ -588,9 +549,6 @@ func MergeEnsembles(parts []*Ensemble) (*Ensemble, error) {
 	if out.NoiseFree {
 		// Every part evaluated the same ideal state, so the exact readouts
 		// are identical across parts; only the sampled counts differ.
-		out.HasExpectation = first.HasExpectation
-		out.Expectation = first.Expectation
-		out.StdErr = first.StdErr
 		out.Observables = first.Observables
 		out.Marginals = first.Marginals
 		return out, nil
@@ -598,11 +556,6 @@ func MergeEnsembles(parts []*Ensemble) (*Ensemble, error) {
 	agg := AggregateMoments(out.Moments)
 	if agg.Trajectories != out.Trajectories {
 		return nil, fmt.Errorf("noise: merged moments cover %d trajectories, parts report %d", agg.Trajectories, out.Trajectories)
-	}
-	out.HasExpectation = first.HasExpectation
-	if out.HasExpectation {
-		out.Expectation = agg.Expectation.Mean
-		out.StdErr = agg.Expectation.StdErr
 	}
 	out.Observables = agg.Observables
 	out.Marginals = agg.Marginals
@@ -617,9 +570,6 @@ func (e *Ensemble) String() string {
 	}
 	if e.Shots > 0 {
 		s += fmt.Sprintf(", %d shots over %d outcomes", e.Shots, len(e.Counts))
-	}
-	if e.HasExpectation {
-		s += fmt.Sprintf(", ⟨Z…⟩ = %.6f ± %.6f", e.Expectation, e.StdErr)
 	}
 	return s
 }

@@ -17,13 +17,13 @@ func BenchmarkCacheHitSample(b *testing.B) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
 	c := circuit.MustNamed("qft", 14)
-	req := Request{Circuit: c, Kind: KindSample, Shots: 1000, Options: core.Options{Strategy: "dagp"}}
+	req := Request{Circuit: c, Kind: KindRun, Readouts: core.ReadoutSpec{Shots: 1000}, Options: core.Options{Strategy: "dagp"}}
 	if _, err := s.Do(context.Background(), req); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req.Seed = int64(i)
+		req.Readouts.Seed = int64(i)
 		res, err := s.Do(context.Background(), req)
 		if err != nil {
 			b.Fatal(err)
@@ -47,13 +47,13 @@ func BenchmarkServiceInstrumented(b *testing.B) {
 		Logger: obs.NewLogger(io.Discard, slog.LevelInfo, false)})
 	defer s.Close()
 	c := circuit.MustNamed("qft", 14)
-	req := Request{Circuit: c, Kind: KindSample, Shots: 1000, Options: core.Options{Strategy: "dagp"}}
+	req := Request{Circuit: c, Kind: KindRun, Readouts: core.ReadoutSpec{Shots: 1000}, Options: core.Options{Strategy: "dagp"}}
 	if _, err := s.Do(context.Background(), req); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req.Seed = int64(i)
+		req.Readouts.Seed = int64(i)
 		res, err := s.Do(context.Background(), req)
 		if err != nil {
 			b.Fatal(err)
@@ -69,7 +69,7 @@ func BenchmarkColdSimulate(b *testing.B) {
 	s := New(Config{Workers: 1, CacheBytes: -1})
 	defer s.Close()
 	c := circuit.MustNamed("qft", 14)
-	req := Request{Circuit: c, Kind: KindSample, Shots: 1000, Options: core.Options{Strategy: "dagp"}}
+	req := Request{Circuit: c, Kind: KindRun, Readouts: core.ReadoutSpec{Shots: 1000}, Options: core.Options{Strategy: "dagp"}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Do(context.Background(), req); err != nil {

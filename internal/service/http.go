@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -35,12 +36,12 @@ import (
 //	GET    /readyz              readiness (503 once graceful drain begins)
 //
 // The submit body names the circuit either inline ("qasm") or by generator
-// family ("family" + "qubits"), plus kind/shots/seed/qubits and the
-// simulation options; see wireRequest. Kind "run" instead carries a
-// "readouts" spec — any mix of statevector, shots, marginals and Pauli
-// observables answered by one simulation; "options.backend" picks the
-// execution engine. Sample counts are keyed by bitstring (most-significant
-// qubit first).
+// family ("family" + "qubits"), the kind, and the simulation options; see
+// wireRequest. Kind "run" carries a "readouts" spec — any mix of
+// statevector, shots, marginals and Pauli observables answered by one
+// simulation; "options.backend" picks the execution engine. Sample counts
+// are keyed by bitstring (most-significant qubit first). Any other kind,
+// or an unknown top-level field, is a 400.
 //
 // The v3 parameterized surface rides the same endpoint: QASM may leave
 // gate angles symbolic (rz(gamma) q[0];), kind "run" binds them via
@@ -85,17 +86,32 @@ func NewHandler(s *Service) http.Handler {
 // decide whether a job is splittable; the original bytes — not the parsed
 // form — are what it forwards, so workers see the request verbatim.
 func ParseRequest(body []byte) (*Request, error) {
-	var wr wireRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&wr); err != nil {
-		return nil, err
-	}
-	req, err := wr.toRequest()
+	req, err := decodeRequest(body)
 	if err != nil {
 		return nil, err
 	}
 	return &req, nil
+}
+
+// decodeRequest decodes one submit body; unknown fields are errors. A body
+// naming a kind that does not exist reports that first: a v1 body's stray
+// top-level fields ("shots", "qubits", …) are a symptom of its kind.
+func decodeRequest(body []byte) (Request, error) {
+	var wr wireRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&wr); err != nil {
+		var head struct {
+			Kind string `json:"kind"`
+		}
+		if json.Unmarshal(body, &head) == nil && head.Kind != "" {
+			if kerr := checkKind(Kind(head.Kind)); kerr != nil {
+				return Request{}, kerr
+			}
+		}
+		return Request{}, err
+	}
+	return wr.toRequest()
 }
 
 // wireRequest is the submit body.
@@ -105,18 +121,14 @@ type wireRequest struct {
 		Family string `json:"family,omitempty"`
 		Qubits int    `json:"qubits,omitempty"`
 	} `json:"circuit"`
-	Kind         string             `json:"kind"`
-	Shots        int                `json:"shots,omitempty"`
-	Seed         int64              `json:"seed,omitempty"`
-	Qubits       []int              `json:"qubits,omitempty"`
-	Readouts     *wireReadouts      `json:"readouts,omitempty"`
-	Params       map[string]float64 `json:"params,omitempty"`
-	Sweep        *wireSweep         `json:"sweep,omitempty"`
-	Optimize     *wireOptimize      `json:"optimize,omitempty"`
-	Noise        *wireNoise         `json:"noise,omitempty"`
-	Trajectories int                `json:"trajectories,omitempty"`
-	Options      wireOptions        `json:"options"`
-	TimeoutMS    int64              `json:"timeout_ms,omitempty"`
+	Kind      string             `json:"kind"`
+	Readouts  *wireReadouts      `json:"readouts,omitempty"`
+	Params    map[string]float64 `json:"params,omitempty"`
+	Sweep     *wireSweep         `json:"sweep,omitempty"`
+	Optimize  *wireOptimize      `json:"optimize,omitempty"`
+	Noise     *wireNoise         `json:"noise,omitempty"`
+	Options   wireOptions        `json:"options"`
+	TimeoutMS int64              `json:"timeout_ms,omitempty"`
 }
 
 // wireSweep is the kind-"sweep" binding grid:
@@ -225,7 +237,7 @@ func toObservables(wobs []wireObservable) ([]core.Observable, error) {
 	return out, nil
 }
 
-// wireNoise is the JSON noise-model spec for the noisy kinds:
+// wireNoise is the JSON noise-model spec:
 //
 //	"noise": {
 //	  "rules": [
@@ -238,7 +250,7 @@ func toObservables(wobs []wireObservable) ([]core.Observable, error) {
 //
 // Channel probabilities, readout probabilities and rule qubits are bounds-
 // checked here (and again by the service), so a bad model is a 400 at
-// submit, mirroring the qubits/shots validation.
+// submit, mirroring the readout-spec validation.
 type wireNoise struct {
 	Rules   []wireNoiseRule `json:"rules,omitempty"`
 	Readout *wireReadout    `json:"readout,omitempty"`
@@ -319,6 +331,13 @@ func (o wireOptions) toCore() (core.Options, error) {
 
 func (w wireRequest) toRequest() (Request, error) {
 	var req Request
+	// The kind is checked before the circuit is built, so a request for a
+	// kind that does not exist fails fast — at a coordinator too, which
+	// parses bodies through here before routing them.
+	req.Kind = Kind(w.Kind)
+	if err := checkKind(req.Kind); err != nil {
+		return req, err
+	}
 	switch {
 	case w.Circuit.QASM != "" && w.Circuit.Family != "":
 		return req, errors.New("circuit: give either qasm or family, not both")
@@ -349,10 +368,6 @@ func (w wireRequest) toRequest() (Request, error) {
 	if err != nil {
 		return req, err
 	}
-	req.Kind = Kind(w.Kind)
-	req.Shots = w.Shots
-	req.Seed = w.Seed
-	req.Qubits = w.Qubits
 	req.Readouts = spec
 	req.Params = w.Params
 	if w.Sweep != nil {
@@ -371,16 +386,13 @@ func (w wireRequest) toRequest() (Request, error) {
 		}
 	}
 	req.Noise = model
-	req.Trajectories = w.Trajectories
 	req.Options = opts
 	req.Timeout = time.Duration(w.TimeoutMS) * time.Millisecond
 	return req, nil
 }
 
-// wireJob is the poll/cancel response body. Backend (the executing engine)
-// is populated for kind-"run" jobs only: deprecated-kind job bodies stay
-// byte-compatible with the v1 surface (the engine for those is still
-// visible in the /v1/stats backends counters and the Go JobInfo).
+// wireJob is the poll/cancel response body. Backend is the executing
+// engine (absent while the job is queued).
 type wireJob struct {
 	ID        string      `json:"id"`
 	Kind      string      `json:"kind"`
@@ -393,27 +405,22 @@ type wireJob struct {
 	Result    *wireResult `json:"result,omitempty"`
 }
 
-// wireResult is the result body; only the kind's fields are populated.
-// The backend/marginals/observables fields are part of the v2 (kind "run")
-// surface and stay absent on deprecated-kind responses, keeping those
-// byte-compatible with the v1 wire format.
+// wireResult is the result body; only the fields the kind and its
+// read-out spec produce are populated.
 type wireResult struct {
-	Kind          string         `json:"kind"`
-	NumQubits     int            `json:"num_qubits"`
-	CacheHit      bool           `json:"cache_hit"`
-	Parts         int            `json:"parts"`
-	ElapsedMS     float64        `json:"elapsed_ms"`
-	WaitedMS      float64        `json:"waited_ms"`
-	Backend       string         `json:"backend,omitempty"`
-	Samples       []int          `json:"samples,omitempty"`
-	Counts        map[string]int `json:"counts,omitempty"`
-	Expectation   *float64       `json:"expectation,omitempty"`
-	StdErr        *float64       `json:"stderr,omitempty"`
-	Trajectories  int            `json:"trajectories,omitempty"`
-	Probabilities []float64      `json:"probabilities,omitempty"`
-	Marginals     [][]float64    `json:"marginals,omitempty"`
-	Observables   []wireObsValue `json:"observables,omitempty"`
-	Amplitudes    [][2]float64   `json:"amplitudes,omitempty"`
+	Kind         string         `json:"kind"`
+	NumQubits    int            `json:"num_qubits"`
+	CacheHit     bool           `json:"cache_hit"`
+	Parts        int            `json:"parts"`
+	ElapsedMS    float64        `json:"elapsed_ms"`
+	WaitedMS     float64        `json:"waited_ms"`
+	Backend      string         `json:"backend,omitempty"`
+	Samples      []int          `json:"samples,omitempty"`
+	Counts       map[string]int `json:"counts,omitempty"`
+	Trajectories int            `json:"trajectories,omitempty"`
+	Marginals    [][]float64    `json:"marginals,omitempty"`
+	Observables  []wireObsValue `json:"observables,omitempty"`
+	Amplitudes   [][2]float64   `json:"amplitudes,omitempty"`
 	// Sweep and Optimize are the v3 payloads (kinds "sweep"/"optimize").
 	Sweep    *wireSweepResult    `json:"sweep,omitempty"`
 	Optimize *wireOptimizeResult `json:"optimize,omitempty"`
@@ -493,10 +500,7 @@ type wireObsValue struct {
 func toWireJob(info JobInfo) wireJob {
 	out := wireJob{
 		ID: info.ID, Kind: string(info.Kind), Status: string(info.Status),
-		Error: info.Err, Submitted: info.Submitted,
-	}
-	if info.Kind == KindRun || info.Kind.Parameterized() {
-		out.Backend = info.Backend
+		Backend: info.Backend, Error: info.Err, Submitted: info.Submitted,
 	}
 	if !info.Started.IsZero() {
 		t := info.Started
@@ -518,88 +522,44 @@ func toWireResult(r *Result) *wireResult {
 		Parts:     r.Parts,
 		ElapsedMS: float64(r.Elapsed) / float64(time.Millisecond),
 		WaitedMS:  float64(r.Waited) / float64(time.Millisecond),
+		Backend:   r.Backend, Trajectories: r.Trajectories,
+		Samples:     r.Samples,
+		Counts:      wireCounts(r.Counts, r.NumQubits),
+		Marginals:   r.Marginals,
+		Observables: wireObsValues(r.Observables),
+		Amplitudes:  wireAmplitudes(r.Amplitudes),
 	}
-	switch r.Kind {
-	case KindRun:
-		out.Backend = r.Backend
-		out.Trajectories = r.Trajectories
-		out.Samples = r.Samples
-		if r.Counts != nil {
-			out.Counts = make(map[string]int, len(r.Counts))
-			for basis, n := range r.Counts {
-				out.Counts[bitstring(basis, r.NumQubits)] = n
-			}
+	if len(r.Moments) > 0 {
+		wm := &wireMoments{ChunkSize: noise.MomentChunk,
+			Chunks: make([]wireMomentChunk, 0, len(r.Moments))}
+		for _, m := range r.Moments {
+			wm.Chunks = append(wm.Chunks, wireMomentChunk{
+				Chunk: m.Chunk, Count: m.Count, Obs: m.Obs, Marg: m.Marg,
+			})
 		}
-		out.Marginals = r.Marginals
-		for _, ov := range r.Observables {
-			out.Observables = append(out.Observables, wireObsValue{Name: ov.Name, Value: ov.Value, StdErr: ov.StdErr})
+		out.Moments = wm
+	}
+	if r.Sweep != nil {
+		ws := &wireSweepResult{
+			Compiles: r.Sweep.Compiles, TouchedBlocks: r.Sweep.TouchedBlocks,
+			SharedBlocks: r.Sweep.SharedBlocks, Trajectories: r.Sweep.Trajectories,
+			Points: make([]wireSweepPoint, 0, len(r.Sweep.Points)),
 		}
-		if r.Amplitudes != nil {
-			out.Amplitudes = make([][2]float64, len(r.Amplitudes))
-			for i, a := range r.Amplitudes {
-				out.Amplitudes[i] = [2]float64{real(a), imag(a)}
-			}
+		for _, p := range r.Sweep.Points {
+			ws.Points = append(ws.Points, toWireSweepPoint(p, r.NumQubits))
 		}
-		if len(r.Moments) > 0 {
-			wm := &wireMoments{ChunkSize: noise.MomentChunk,
-				Chunks: make([]wireMomentChunk, 0, len(r.Moments))}
-			for _, m := range r.Moments {
-				wm.Chunks = append(wm.Chunks, wireMomentChunk{
-					Chunk: m.Chunk, Count: m.Count, Obs: m.Obs, Marg: m.Marg,
-				})
-			}
-			out.Moments = wm
+		out.Sweep = ws
+	}
+	if r.Optimize != nil {
+		wo := &wireOptimizeResult{
+			Method: r.Optimize.Method, Best: r.Optimize.Best, BestValue: r.Optimize.BestValue,
+			Evaluations: r.Optimize.Evaluations, Compiles: r.Optimize.Compiles,
+			Converged: r.Optimize.Converged, Trajectories: r.Optimize.Trajectories,
 		}
-	case KindSweep:
-		out.Backend = r.Backend
-		out.Trajectories = r.Trajectories
-		if r.Sweep != nil {
-			ws := &wireSweepResult{
-				Compiles: r.Sweep.Compiles, TouchedBlocks: r.Sweep.TouchedBlocks,
-				SharedBlocks: r.Sweep.SharedBlocks, Trajectories: r.Sweep.Trajectories,
-				Points: make([]wireSweepPoint, 0, len(r.Sweep.Points)),
-			}
-			for _, p := range r.Sweep.Points {
-				ws.Points = append(ws.Points, toWireSweepPoint(p, r.NumQubits))
-			}
-			out.Sweep = ws
+		for _, it := range r.Optimize.Trace {
+			wo.Trace = append(wo.Trace, wireOptIter{Iter: it.Iter, Params: it.Params, Value: it.Value})
 		}
-	case KindOptimize:
-		out.Backend = r.Backend
-		out.Trajectories = r.Trajectories
-		if r.Optimize != nil {
-			wo := &wireOptimizeResult{
-				Method: r.Optimize.Method, Best: r.Optimize.Best, BestValue: r.Optimize.BestValue,
-				Evaluations: r.Optimize.Evaluations, Compiles: r.Optimize.Compiles,
-				Converged: r.Optimize.Converged, Trajectories: r.Optimize.Trajectories,
-			}
-			for _, it := range r.Optimize.Trace {
-				wo.Trace = append(wo.Trace, wireOptIter{Iter: it.Iter, Params: it.Params, Value: it.Value})
-			}
-			out.Optimize = wo
-		}
-	case KindSample, KindNoisySample:
-		out.Samples = r.Samples
-		out.Counts = make(map[string]int, len(r.Counts))
-		for basis, n := range r.Counts {
-			out.Counts[bitstring(basis, r.NumQubits)] = n
-		}
-		out.Trajectories = r.Trajectories
-	case KindExpectation, KindNoisyExpectation:
-		e := r.Expectation
-		out.Expectation = &e
-		if r.Kind == KindNoisyExpectation {
-			se := r.StdErr
-			out.StdErr = &se
-			out.Trajectories = r.Trajectories
-		}
-	case KindProbabilities:
-		out.Probabilities = r.Probabilities
-	case KindStatevector:
-		out.Amplitudes = make([][2]float64, len(r.Amplitudes))
-		for i, a := range r.Amplitudes {
-			out.Amplitudes[i] = [2]float64{real(a), imag(a)}
-		}
+		out.Optimize = wo
 	}
 	return out
 }
@@ -608,26 +568,44 @@ func toWireResult(r *Result) *wireResult {
 // keys and [re, im] amplitudes, matching the kind-"run" conventions).
 func toWireSweepPoint(p core.SweepPoint, n int) wireSweepPoint {
 	out := wireSweepPoint{Params: p.Binding}
-	ro := p.Readouts
-	if ro == nil {
-		return out
+	if ro := p.Readouts; ro != nil {
+		out.Samples = ro.Samples
+		out.Counts = wireCounts(ro.Counts, n)
+		out.Marginals = ro.Marginals
+		out.Observables = wireObsValues(ro.Observables)
+		out.Amplitudes = wireAmplitudes(ro.Amplitudes)
 	}
-	out.Samples = ro.Samples
-	if ro.Counts != nil {
-		out.Counts = make(map[string]int, len(ro.Counts))
-		for basis, c := range ro.Counts {
-			out.Counts[bitstring(basis, n)] = c
-		}
+	return out
+}
+
+// wireCounts keys a histogram by bitstring (nil stays nil).
+func wireCounts(counts map[int]int, n int) map[string]int {
+	if counts == nil {
+		return nil
 	}
-	out.Marginals = ro.Marginals
-	for _, ov := range ro.Observables {
-		out.Observables = append(out.Observables, wireObsValue{Name: ov.Name, Value: ov.Value, StdErr: ov.StdErr})
+	out := make(map[string]int, len(counts))
+	for basis, c := range counts {
+		out[bitstring(basis, n)] = c
 	}
-	if ro.Amplitudes != nil {
-		out.Amplitudes = make([][2]float64, len(ro.Amplitudes))
-		for i, a := range ro.Amplitudes {
-			out.Amplitudes[i] = [2]float64{real(a), imag(a)}
-		}
+	return out
+}
+
+func wireObsValues(vals []core.ObservableValue) []wireObsValue {
+	var out []wireObsValue
+	for _, ov := range vals {
+		out = append(out, wireObsValue{Name: ov.Name, Value: ov.Value, StdErr: ov.StdErr})
+	}
+	return out
+}
+
+// wireAmplitudes renders amplitudes as [re, im] pairs (nil stays nil).
+func wireAmplitudes(amps []complex128) [][2]float64 {
+	if amps == nil {
+		return nil
+	}
+	out := make([][2]float64, len(amps))
+	for i, a := range amps {
+		out[i] = [2]float64{real(a), imag(a)}
 	}
 	return out
 }
@@ -646,14 +624,12 @@ func bitstring(basis, n int) string {
 }
 
 func handleSubmit(s *Service, w http.ResponseWriter, r *http.Request) {
-	var wr wireRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&wr); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	req, err := wr.toRequest()
+	req, err := decodeRequest(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

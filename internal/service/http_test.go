@@ -53,7 +53,7 @@ func TestHTTPSubmitPollResult(t *testing.T) {
 	_, srv := newHTTPTest(t)
 	resp, body := postJSON(t, srv.URL+"/v1/jobs", `{
 		"circuit": {"family": "qft", "qubits": 8},
-		"kind": "sample", "shots": 64, "seed": 5,
+		"kind": "run", "readouts": {"shots": 64, "seed": 5},
 		"options": {"strategy": "dagp", "lm": 5}
 	}`)
 	if resp.StatusCode != http.StatusAccepted {
@@ -97,8 +97,10 @@ func TestHTTPQASMCircuitAndExpectation(t *testing.T) {
 	src := qasm.Write(circuit.MustNamed("bv", 6))
 	payload, _ := json.Marshal(map[string]any{
 		"circuit": map[string]string{"qasm": src},
-		"kind":    "expectation",
-		"qubits":  []int{0, 1},
+		"kind":    "run",
+		"readouts": map[string]any{
+			"observables": []map[string]any{{"paulis": "ZZ", "qubits": []int{0, 1}}},
+		},
 	})
 	resp, body := postJSON(t, srv.URL+"/v1/jobs", string(payload))
 	if resp.StatusCode != http.StatusAccepted {
@@ -110,29 +112,49 @@ func TestHTTPQASMCircuitAndExpectation(t *testing.T) {
 		t.Fatalf("result: %d %v", resp.StatusCode, body)
 	}
 	result := body["result"].(map[string]any)
-	if _, ok := result["expectation"].(float64); !ok {
-		t.Fatalf("no expectation in %v", result)
+	obs, _ := result["observables"].([]any)
+	if len(obs) != 1 {
+		t.Fatalf("no observable in %v", result)
+	}
+	if _, ok := obs[0].(map[string]any)["value"].(float64); !ok {
+		t.Fatalf("no observable value in %v", result)
 	}
 }
 
 func TestHTTPBadRequests(t *testing.T) {
 	_, srv := newHTTPTest(t)
+	const shots = `"kind": "run", "readouts": {"shots": 16}`
 	cases := []string{
 		`{not json`,
-		`{"kind": "sample"}`, // no circuit
-		`{"circuit": {"family": "nope", "qubits": 4}, "kind": "sample"}`,                // bad family
-		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "destroy"}`,                 // bad kind
-		`{"circuit": {"qasm": "bogus", "family": "bv", "qubits": 4}, "kind": "sample"}`, // both sources
-		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "sample", "unknown": true}`, // unknown field
-		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "sample",
+		`{` + shots + `}`, // no circuit
+		`{"circuit": {"family": "nope", "qubits": 4}, ` + shots + `}`,                // bad family
+		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "destroy"}`,              // bad kind
+		`{"circuit": {"qasm": "bogus", "family": "bv", "qubits": 4}, ` + shots + `}`, // both sources
+		`{"circuit": {"family": "bv", "qubits": 4}, ` + shots + `, "unknown": true}`, // unknown field
+		`{"circuit": {"family": "bv", "qubits": 4}, ` + shots + `,
 		  "options": {"fuse": "sometimes"}}`, // bad fuse policy
-		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "sample",
+		`{"circuit": {"family": "bv", "qubits": 4}, ` + shots + `,
 		  "options": {"max_fuse_qubits": 11}}`, // fused tables beyond 2^10 entries
+		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "sample", "shots": 16}`, // removed v1 kind
+		`{"circuit": {"family": "bv", "qubits": 4}, ` + shots + `, "shots": 16}`,    // removed top-level field
+		`{"circuit": {"qasm": "OPENQASM 2.0; include \"qelib1.inc\"; qreg q[3]; rz(gamma) q[0];"},
+		  "kind": "optimize", "optimize": {"observables": [{"paulis": "Z", "qubits": [0]}]},
+		  "noise": {"rules": [{"channel": "depolarizing", "p": 0.01, "qubits": [7]}]}}`, // noise qubit out of range
 	}
 	for _, body := range cases {
 		resp, got := postJSON(t, srv.URL+"/v1/jobs", body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %.40q: status %d (%v), want 400", body, resp.StatusCode, got)
+		}
+	}
+	// A removed kind's 400 names the accepted kinds.
+	for _, body := range []string{
+		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "sample"}`,
+		`{"circuit": {"family": "bv", "qubits": 4}, "kind": "expectation", "qubits": [0, 1]}`,
+	} {
+		_, got := postJSON(t, srv.URL+"/v1/jobs", body)
+		if msg, _ := got["error"].(string); !strings.Contains(msg, "[run sweep optimize]") {
+			t.Errorf("removed kind error %q does not name the accepted kinds", msg)
 		}
 	}
 	if resp, _ := getJSON(t, srv.URL+"/v1/jobs/j424242"); resp.StatusCode != http.StatusNotFound {
@@ -145,7 +167,8 @@ func TestHTTPBadRequests(t *testing.T) {
 
 func TestParseRequestFuseOptions(t *testing.T) {
 	parse := func(opts string) (*Request, error) {
-		return ParseRequest([]byte(`{"circuit": {"family": "bv", "qubits": 4}, "kind": "sample", "options": ` + opts + `}`))
+		return ParseRequest([]byte(`{"circuit": {"family": "bv", "qubits": 4}, "kind": "run",
+			"readouts": {"shots": 16}, "options": ` + opts + `}`))
 	}
 	for _, tc := range []struct {
 		opts string
@@ -176,7 +199,7 @@ func TestHTTPCancelAndStats(t *testing.T) {
 	// A heavy job to cancel plus a quick one to completion.
 	_, body := postJSON(t, srv.URL+"/v1/jobs", `{
 		"circuit": {"family": "qft", "qubits": 16},
-		"kind": "statevector", "options": {"strategy": "dagp", "lm": 10}
+		"kind": "run", "readouts": {"statevector": true}, "options": {"strategy": "dagp", "lm": 10}
 	}`)
 	heavy := body["id"].(string)
 	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/jobs/"+heavy, nil)
@@ -190,14 +213,14 @@ func TestHTTPCancelAndStats(t *testing.T) {
 	}
 
 	_, body = postJSON(t, srv.URL+"/v1/jobs", `{
-		"circuit": {"family": "bv", "qubits": 6}, "kind": "probabilities", "qubits": [0, 5]
+		"circuit": {"family": "bv", "qubits": 6}, "kind": "run", "readouts": {"marginals": [[0, 5]]}
 	}`)
 	quick := body["id"].(string)
 	resp, body = getJSON(t, srv.URL+"/v1/jobs/"+quick+"/result")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("quick result: %d %v", resp.StatusCode, body)
 	}
-	probs := body["result"].(map[string]any)["probabilities"].([]any)
+	probs := body["result"].(map[string]any)["marginals"].([]any)[0].([]any)
 	if len(probs) != 4 {
 		t.Fatalf("marginal over 2 qubits has %d entries", len(probs))
 	}
@@ -217,7 +240,7 @@ func TestHTTPCancelAndStats(t *testing.T) {
 func TestHTTPStatevectorRoundTrip(t *testing.T) {
 	_, srv := newHTTPTest(t)
 	_, body := postJSON(t, srv.URL+"/v1/jobs", `{
-		"circuit": {"family": "cat_state", "qubits": 3}, "kind": "statevector"
+		"circuit": {"family": "cat_state", "qubits": 3}, "kind": "run", "readouts": {"statevector": true}
 	}`)
 	id := body["id"].(string)
 	resp, body := getJSON(t, srv.URL+"/v1/jobs/"+id+"/result")
@@ -242,7 +265,7 @@ func TestHTTPNoisySampleEndToEnd(t *testing.T) {
 	_, srv := newHTTPTest(t)
 	resp, body := postJSON(t, srv.URL+"/v1/jobs", `{
 		"circuit": {"family": "ising", "qubits": 6},
-		"kind": "noisy_sample", "shots": 200, "seed": 9, "trajectories": 10,
+		"kind": "run", "readouts": {"shots": 200, "seed": 9, "trajectories": 10},
 		"noise": {
 			"rules": [
 				{"channel": "depolarizing", "p": 0.02},
@@ -280,7 +303,8 @@ func TestHTTPNoisyExpectationEndToEnd(t *testing.T) {
 	_, srv := newHTTPTest(t)
 	resp, body := postJSON(t, srv.URL+"/v1/jobs", `{
 		"circuit": {"family": "qft", "qubits": 6},
-		"kind": "noisy_expectation", "qubits": [0, 2], "trajectories": 16,
+		"kind": "run", "readouts": {"trajectories": 16,
+			"observables": [{"paulis": "ZZ", "qubits": [0, 2]}]},
 		"noise": {"rules": [{"channel": "phase_damping", "p": 0.05}]}
 	}`)
 	if resp.StatusCode != http.StatusAccepted {
@@ -291,12 +315,16 @@ func TestHTTPNoisyExpectationEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || body["status"] != "done" {
 		t.Fatalf("result: %d %v", resp.StatusCode, body)
 	}
-	result := body["result"].(map[string]any)
-	if _, ok := result["expectation"].(float64); !ok {
-		t.Fatalf("no expectation in %v", result)
+	obs, _ := body["result"].(map[string]any)["observables"].([]any)
+	if len(obs) != 1 {
+		t.Fatalf("no observable in %v", body["result"])
 	}
-	if se, ok := result["stderr"].(float64); !ok || se < 0 {
-		t.Fatalf("bad stderr in %v", result)
+	z := obs[0].(map[string]any)
+	if _, ok := z["value"].(float64); !ok {
+		t.Fatalf("no ⟨Z0Z2⟩ value in %v", z)
+	}
+	if se, _ := z["stderr"].(float64); se < 0 { // omitted when 0
+		t.Fatalf("bad stderr in %v", z)
 	}
 }
 
@@ -304,25 +332,25 @@ func TestHTTPNoisyValidation(t *testing.T) {
 	// Out-of-bounds noise probabilities and trajectory counts must be 400s
 	// at the HTTP layer, mirroring the qubits/shots validation.
 	_, srv := newHTTPTest(t)
-	circuitStanza := `"circuit": {"family": "bv", "qubits": 5}`
+	run := `"circuit": {"family": "bv", "qubits": 5}, "kind": "run"`
 	cases := []string{
-		`{` + circuitStanza + `, "kind": "noisy_sample",
+		`{` + run + `, "readouts": {"shots": 10},
 		  "noise": {"rules": [{"channel": "depolarizing", "p": 1.5}]}}`, // p > 1
-		`{` + circuitStanza + `, "kind": "noisy_sample",
+		`{` + run + `, "readouts": {"shots": 10},
 		  "noise": {"rules": [{"channel": "depolarizing", "p": -0.1}]}}`, // p < 0
-		`{` + circuitStanza + `, "kind": "noisy_sample",
+		`{` + run + `, "readouts": {"shots": 10},
 		  "noise": {"rules": [{"channel": "warp", "p": 0.1}]}}`, // unknown channel
-		`{` + circuitStanza + `, "kind": "noisy_sample",
+		`{` + run + `, "readouts": {"shots": 10},
 		  "noise": {"readout": {"p01": 2, "p10": 0}}}`, // readout out of bounds
-		`{` + circuitStanza + `, "kind": "noisy_sample", "trajectories": 1000000,
+		`{` + run + `, "readouts": {"shots": 10, "trajectories": 1000000},
 		  "noise": {"rules": [{"channel": "bit_flip", "p": 0.1}]}}`, // over trajectory cap
-		`{` + circuitStanza + `, "kind": "noisy_sample", "trajectories": -5,
+		`{` + run + `, "readouts": {"shots": 10, "trajectories": -5},
 		  "noise": {"rules": [{"channel": "bit_flip", "p": 0.1}]}}`, // negative trajectories
-		`{` + circuitStanza + `, "kind": "noisy_expectation", "qubits": [7],
+		`{` + run + `, "readouts": {"observables": [{"paulis": "Z", "qubits": [7]}]},
 		  "noise": {"rules": [{"channel": "bit_flip", "p": 0.1}]}}`, // qubit out of range
-		`{` + circuitStanza + `, "kind": "sample",
-		  "noise": {"rules": [{"channel": "bit_flip", "p": 0.1}]}}`, // noise on ideal kind
-		`{` + circuitStanza + `, "kind": "noisy_sample",
+		`{` + run + `, "readouts": {"statevector": true},
+		  "noise": {"rules": [{"channel": "bit_flip", "p": 0.1}]}}`, // statevector under noise
+		`{` + run + `, "readouts": {"shots": 10},
 		  "noise": {"rules": [{"channel": "bit_flip", "p": 0.1, "qubits": [9]}]}}`, // rule qubit out of range
 	}
 	for _, body := range cases {

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"strings"
 	"sync"
 
 	"hisvsim/internal/obs"
@@ -10,7 +9,7 @@ import (
 
 // Version identifies the service build in hisvsim_build_info and log lines.
 // It tracks the repo's PR sequence rather than a release tag.
-const Version = "0.9.0"
+const Version = "1.0.0"
 
 // This file is the service's metrics surface: every counter the old
 // ad-hoc Stats bookkeeping tracked now lives in one obs.Registry (the
@@ -56,7 +55,6 @@ type serviceMetrics struct {
 	simulations      *obs.Counter
 	trajectories     *obs.Counter
 	templateCompiles *obs.Counter
-	shimHits         *obs.CounterVec // {kind}
 	backendJobs      *obs.CounterVec // {backend}
 
 	cacheHits      *obs.CounterVec // {cache}
@@ -126,8 +124,6 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 		"Stochastic trajectories executed across all noisy ensembles.")
 	m.templateCompiles = reg.Counter("hisvsim_template_compiles_total",
 		"Parameterized-template fusion compiles (the sweep amortization ledger).")
-	m.shimHits = reg.CounterVec("hisvsim_shim_hits_total",
-		"Submissions through the deprecated v1 kinds, by kind.", "kind")
 	m.backendJobs = reg.CounterVec("hisvsim_backend_jobs_total",
 		"Executed jobs per engine (registry names plus \"trajectory\").", "backend")
 	m.cacheHits = reg.CounterVec("hisvsim_cache_hits_total",
@@ -156,34 +152,25 @@ func (m *serviceMetrics) attach(s *Service) {
 		"Jobs queued but not yet picked up by a worker.",
 		func() float64 { return float64(len(s.queue)) })
 	m.reg.Gauge("hisvsim_workers", "Configured worker-pool size.").Set(float64(s.cfg.Workers))
-	// Evictions fire from inside lru.Put under s.mu; the hooks only touch
+	// Evictions fire from inside lru.Put under s.mu; the hook only touches
 	// atomics, so no lock-order risk. Replacing an existing key counts as
 	// an eviction of the old value (single-flighted misses make genuine
 	// replacement rare).
-	s.cache.Evicted = func(key string, _ any, cost int64) {
-		name := mainCacheName(key)
-		m.cacheEvictions.With(name).Inc()
-		m.cacheBytes.With(name).Add(float64(-cost))
-		m.cacheEntries.With(name).Add(-1)
-	}
-	s.planCache.Evicted = func(_ string, _ any, cost int64) {
-		m.cacheEvictions.With(cachePlan).Inc()
-		m.cacheBytes.With(cachePlan).Add(float64(-cost))
-		m.cacheEntries.With(cachePlan).Add(-1)
-	}
+	s.cache.Evicted = m.evicted
+	s.planCache.Evicted = m.evicted
+}
+
+// evicted is the LRU eviction hook of both caches: the stored cacheItem
+// carries the label its series are attributed to.
+func (m *serviceMetrics) evicted(_ string, v any, cost int64) {
+	name := v.(cacheItem).label
+	m.cacheEvictions.With(name).Inc()
+	m.cacheBytes.With(name).Add(float64(-cost))
+	m.cacheEntries.With(name).Add(-1)
 }
 
 // cachePut records a successful insertion's residency.
 func (m *serviceMetrics) cachePut(name string, cost int64) {
 	m.cacheBytes.With(name).Add(float64(cost))
 	m.cacheEntries.With(name).Add(1)
-}
-
-// mainCacheName maps a plan/state-cache key onto its logical cache label:
-// density matrices are keyed dm|…, everything else is a simulated state.
-func mainCacheName(key string) string {
-	if strings.HasPrefix(key, "dm|") {
-		return cacheRho
-	}
-	return cacheState
 }

@@ -51,38 +51,37 @@ func TestRunKindOneSimulationManyReadouts(t *testing.T) {
 		t.Errorf("backend = %q, want hier (default single-node)", res.Backend)
 	}
 
-	// The read-outs agree with the individually-computed legacy kinds
-	// (which must ALSO not re-simulate: same circuit, same cache entry).
-	exp, err := s.Do(context.Background(), Request{Circuit: c, Kind: KindExpectation, Qubits: []int{0, 1}})
-	if err != nil {
-		t.Fatal(err)
+	// The read-outs agree with the same read-outs asked one per job (which
+	// must ALSO not re-simulate: same circuit, same cache entry).
+	one := func(spec core.ReadoutSpec) *Result {
+		t.Helper()
+		r, err := s.Do(context.Background(), Request{Circuit: c, Kind: KindRun, Readouts: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	if got, want := res.Observables[0].Value, -exp.Expectation; math.Abs(got-want) > 1e-12 {
-		t.Errorf("zz01 = %v, legacy expectation (negated) = %v", got, want)
+	exp := one(core.ReadoutSpec{Observables: []core.Observable{{Paulis: "ZZ", Qubits: []int{0, 1}}}})
+	if got, want := res.Observables[0].Value, -exp.Observables[0].Value; math.Abs(got-want) > 1e-12 {
+		t.Errorf("zz01 = %v, single-readout ⟨Z0Z1⟩ (negated) = %v", got, want)
 	}
-	prob, err := s.Do(context.Background(), Request{Circuit: c, Kind: KindProbabilities, Qubits: []int{0, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range prob.Probabilities {
-		if math.Abs(prob.Probabilities[i]-res.Marginals[0][i]) > 1e-12 {
-			t.Errorf("marginal[0][%d] differs from legacy probabilities", i)
+	prob := one(core.ReadoutSpec{Marginals: [][]int{{0, 1}}})
+	for i := range prob.Marginals[0] {
+		if math.Abs(prob.Marginals[0][i]-res.Marginals[0][i]) > 1e-12 {
+			t.Errorf("marginal[0][%d] differs from the single-readout marginal", i)
 		}
 	}
-	sam, err := s.Do(context.Background(), Request{Circuit: c, Kind: KindSample, Shots: 500, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sam := one(core.ReadoutSpec{Shots: 500, Seed: 7})
 	if len(sam.Samples) != len(res.Samples) {
-		t.Fatalf("legacy sample drew %d, run drew %d", len(sam.Samples), len(res.Samples))
+		t.Fatalf("single-readout run drew %d, multi-readout run drew %d", len(sam.Samples), len(res.Samples))
 	}
 	for i := range sam.Samples {
 		if sam.Samples[i] != res.Samples[i] {
-			t.Fatalf("sample %d: legacy %d, run %d (same seed must draw identically)", i, sam.Samples[i], res.Samples[i])
+			t.Fatalf("sample %d: single %d, multi %d (same seed must draw identically)", i, sam.Samples[i], res.Samples[i])
 		}
 	}
 	if st := s.Stats(); st.Simulations != 1 {
-		t.Fatalf("legacy shims re-simulated: %d simulations", st.Simulations)
+		t.Fatalf("single-readout runs re-simulated: %d simulations", st.Simulations)
 	}
 }
 
@@ -185,7 +184,7 @@ func TestBackendSelectionPerRequest(t *testing.T) {
 func TestJobInfoReportsBackend(t *testing.T) {
 	s := newTest(t, Config{Workers: 1})
 	c := circuit.MustNamed("bv", 5)
-	id, err := s.Submit(Request{Circuit: c, Kind: KindStatevector, Options: core.Options{Backend: "flat"}})
+	id, err := s.Submit(Request{Circuit: c, Kind: KindRun, Readouts: statevector, Options: core.Options{Backend: "flat"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +214,7 @@ func TestPlanCacheSurvivesStateCachePressure(t *testing.T) {
 
 	// Compile (and cache) the trajectory plan.
 	if _, err := s.Do(context.Background(), Request{
-		Circuit: noisy, Kind: KindNoisySample, Noise: model, Shots: 50, Trajectories: 4,
+		Circuit: noisy, Kind: KindRun, Noise: model, Readouts: core.ReadoutSpec{Shots: 50, Trajectories: 4},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +225,7 @@ func TestPlanCacheSurvivesStateCachePressure(t *testing.T) {
 	// Thrash the state cache with statevector jobs of distinct circuits.
 	for _, fam := range []string{"qft", "bv", "cat_state", "grover"} {
 		if _, err := s.Do(context.Background(), Request{
-			Circuit: circuit.MustNamed(fam, 10), Kind: KindStatevector,
+			Circuit: circuit.MustNamed(fam, 10), Kind: KindRun, Readouts: statevector,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +237,7 @@ func TestPlanCacheSurvivesStateCachePressure(t *testing.T) {
 	}
 	misses := st.CacheMisses
 	if _, err := s.Do(context.Background(), Request{
-		Circuit: noisy, Kind: KindNoisySample, Noise: model, Shots: 50, Trajectories: 4,
+		Circuit: noisy, Kind: KindRun, Noise: model, Readouts: core.ReadoutSpec{Shots: 50, Trajectories: 4},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -261,10 +260,8 @@ func TestRunKindValidation(t *testing.T) {
 		{Circuit: c, Kind: KindRun, Noise: model, Readouts: core.ReadoutSpec{Statevector: true}},
 		{Circuit: c, Kind: KindRun,
 			Readouts: core.ReadoutSpec{Observables: []core.Observable{{Paulis: "XX", Qubits: []int{0, 0}}}}},
-		{Circuit: c, Kind: KindSample, Shots: 10,
-			Readouts: core.ReadoutSpec{Shots: 5}}, // spec on a legacy kind
-		{Circuit: c, Kind: KindRun, Shots: 10, // legacy field on the v2 kind
-			Readouts: core.ReadoutSpec{Observables: obs}},
+		{Circuit: c, Kind: "sample", // a removed v1 kind
+			Readouts: core.ReadoutSpec{Shots: 5}},
 		{Circuit: c, Kind: KindRun, Readouts: core.ReadoutSpec{Observables: obs},
 			Options: core.Options{Backend: "flat", Ranks: 4}}, // capability mismatch
 	}
@@ -282,37 +279,31 @@ func TestRunKindValidation(t *testing.T) {
 	}
 }
 
-// TestLegacyNoisyShimBitCompatible: the deprecated noisy kinds, now shims
-// over the unified path, must reproduce their pre-v2 outputs exactly —
-// same seeds, same counts, same expectation arithmetic.
-func TestLegacyNoisyShimBitCompatible(t *testing.T) {
-	s := newTest(t, Config{Workers: 2})
-	c := circuit.MustNamed("ising", 6)
-	model := noise.Global(noise.PhaseFlip(0.03))
-
-	// The legacy kind and an equivalent KindRun must agree bit-for-bit:
-	// both replay the same per-trajectory RNG streams.
-	exp, err := s.Do(context.Background(), Request{
-		Circuit: c, Kind: KindNoisyExpectation, Noise: model,
-		Qubits: []int{0, 2}, Trajectories: 16, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestConcurrentColdNoisyRunsCompileOnce: a burst of cold noisy jobs on one
+// circuit + model compiles the trajectory plan once — the plan cache
+// single-flights its misses like the state cache does.
+func TestConcurrentColdNoisyRunsCompileOnce(t *testing.T) {
+	s := newTest(t, Config{Workers: 4})
+	c := circuit.MustNamed("qft", 10)
+	model := noise.Global(noise.Depolarizing(0.02))
+	ids := make([]string, 8)
+	for i := range ids {
+		id, err := s.Submit(Request{Circuit: c, Kind: KindRun, Noise: model,
+			Readouts: core.ReadoutSpec{Shots: 20, Seed: int64(i), Trajectories: 4}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
 	}
-	run, err := s.Do(context.Background(), Request{
-		Circuit: c, Kind: KindRun, Noise: model,
-		Readouts: core.ReadoutSpec{
-			Observables:  []core.Observable{{Paulis: "ZZ", Qubits: []int{0, 2}}},
-			Trajectories: 16, Seed: 5,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, id := range ids {
+		if _, err := s.Wait(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if exp.Expectation != run.Observables[0].Value {
-		t.Errorf("legacy %v != run %v (must be bit-identical)", exp.Expectation, run.Observables[0].Value)
+	if got := s.m.cacheMisses.With(cachePlan).Value(); got != 1 {
+		t.Fatalf("plan cache misses = %d, want 1 for one circuit + model", got)
 	}
-	if exp.StdErr != run.Observables[0].StdErr {
-		t.Errorf("stderr: legacy %v != run %v", exp.StdErr, run.Observables[0].StdErr)
+	if got := s.m.cacheHits.With(cachePlan).Value(); got != int64(len(ids)-1) {
+		t.Fatalf("plan cache hits = %d, want %d", got, len(ids)-1)
 	}
 }

@@ -17,15 +17,14 @@
 //     copying the state. Concurrent misses on one key are single-flighted
 //     so a burst of identical requests still simulates once.
 //
-//   - A unified request API (KindRun + core.ReadoutSpec): one job asks for
-//     any mix of amplitudes, seeded shots, marginal distributions and
-//     general Pauli-string observables, and — with or without a noise
-//     model — pays for exactly one simulation (or one trajectory
-//     ensemble). The pre-v2 one-readout-per-job kinds (statevector,
-//     sample, expectation, probabilities, noisy_sample,
-//     noisy_expectation) remain as thin shims over the same spec with
-//     byte-compatible results. Per-request Options.Backend selects the
-//     execution engine from the backend registry.
+//   - One read-out path (core.ReadoutSpec): a KindRun job asks for any
+//     mix of amplitudes, seeded shots, marginal distributions and general
+//     Pauli-string observables, and — with or without a noise model —
+//     pays for exactly one simulation (or one trajectory ensemble).
+//     KindSweep evaluates the same spec per binding of a parameterized
+//     template, and KindOptimize minimizes a weighted observable sum over
+//     it. Per-request Options.Backend selects the execution engine from
+//     the backend registry.
 //
 // Compiled trajectory plans live in their own small LRU (Config.
 // PlanCacheBytes) beside the plan/state cache, so giant statevector
@@ -59,12 +58,10 @@ type Kind string
 
 // Request kinds.
 const (
-	// KindRun is the v2 unified kind: Request.Readouts (core.ReadoutSpec)
-	// names any mix of statevector, seeded shots, marginal distributions
-	// and weighted Pauli-string observables, all derived from ONE
-	// simulation (or, when Request.Noise is effective, one trajectory
-	// ensemble). Every other kind is a deprecated single-readout shim over
-	// this path.
+	// KindRun evaluates Request.Readouts (core.ReadoutSpec): any mix of
+	// statevector, seeded shots, marginal distributions and weighted
+	// Pauli-string observables, all derived from ONE simulation (or, when
+	// Request.Noise is effective, one trajectory ensemble).
 	KindRun Kind = "run"
 
 	// KindSweep is the v3 grid kind: one parameterized circuit template,
@@ -79,26 +76,6 @@ const (
 	// observable sum over the template's symbols, with a per-iteration
 	// trace in the result — the whole VQE/QAOA outer loop in one job.
 	KindOptimize Kind = "optimize"
-
-	// Deprecated single-readout kinds (v1 surface). They execute through
-	// the same unified readout path as KindRun and keep byte-compatible
-	// results (see shim.go for the whole translation table); new callers
-	// should send KindRun with a ReadoutSpec. Stats.ShimHits counts their
-	// use so the removal decision can be data-driven.
-	KindStatevector   Kind = "statevector"   // full amplitude vector
-	KindSample        Kind = "sample"        // Shots seeded basis-state samples
-	KindExpectation   Kind = "expectation"   // ⟨∏ Z_q⟩ over Qubits
-	KindProbabilities Kind = "probabilities" // marginal distribution over Qubits
-
-	// KindNoisySample and KindNoisyExpectation (also deprecated: KindRun
-	// plus Request.Noise subsumes both) run a stochastic trajectory
-	// ensemble under Request.Noise instead of a single ideal simulation:
-	// trajectory batches fan out across the worker-pool width, the compiled
-	// (circuit + noise) plan is cached and reused across requests, and the
-	// results aggregate counts (noisy_sample) or the trajectory-mean
-	// ⟨∏ Z_q⟩ with its standard error (noisy_expectation).
-	KindNoisySample      Kind = "noisy_sample"
-	KindNoisyExpectation Kind = "noisy_expectation"
 )
 
 // BackendTrajectory is the backend name reported for jobs whose effective
@@ -107,14 +84,17 @@ const (
 const BackendTrajectory = "trajectory"
 
 // Kinds lists the accepted request kinds.
-func Kinds() []Kind {
-	return []Kind{KindRun, KindSweep, KindOptimize,
-		KindStatevector, KindSample, KindExpectation, KindProbabilities,
-		KindNoisySample, KindNoisyExpectation}
-}
+func Kinds() []Kind { return []Kind{KindRun, KindSweep, KindOptimize} }
 
-// Noisy reports whether the kind runs a trajectory ensemble.
-func (k Kind) Noisy() bool { return k == KindNoisySample || k == KindNoisyExpectation }
+// checkKind rejects any kind outside Kinds().
+func checkKind(k Kind) error {
+	for _, known := range Kinds() {
+		if k == known {
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown kind %q (want one of %v)", k, Kinds())
+}
 
 // Parameterized reports whether the kind is a v3 template job (binding
 // grids or optimization loops over a parameterized circuit).
@@ -124,22 +104,12 @@ func (k Kind) Parameterized() bool { return k == KindSweep || k == KindOptimize 
 type Request struct {
 	// Circuit to simulate (required, validated on submit).
 	Circuit *circuit.Circuit
-	// Kind of read-out (required).
+	// Kind of job (required).
 	Kind Kind
-	// Shots is the sample count for KindSample (default 1024).
-	Shots int
-	// Seed drives the sampling RNG for KindSample; a fixed (circuit,
-	// options, seed) triple reproduces the exact shot sequence. It is NOT
-	// part of the cache key — differently-seeded sample requests share one
-	// simulated state.
-	Seed int64
-	// Qubits are the Z-string qubits (KindExpectation, KindNoisyExpectation)
-	// or the marginal qubits, little-endian (KindProbabilities).
-	Qubits []int
-	// Readouts is the unified multi-readout spec for KindRun and KindSweep
-	// (rejected on the deprecated kinds, which carry their read-out in the
-	// fields above). Its Seed/Trajectories fields take over the role of the
-	// request-level ones for those kinds.
+	// Readouts is the multi-readout spec for KindRun and KindSweep
+	// (rejected on KindOptimize, whose objective is its own spec). Its
+	// Seed drives the sampling RNG and is NOT part of the cache key:
+	// differently-seeded requests share one simulated state.
 	Readouts core.ReadoutSpec
 	// Params binds the circuit's symbols for KindRun (v3): a parameterized
 	// circuit template plus a complete binding runs exactly like the bound
@@ -155,13 +125,10 @@ type Request struct {
 	// rejected elsewhere).
 	Optimize *core.OptimizeSpec
 	// Noise is the noise model (nil = ideal: the trajectory layer reduces
-	// to one cached simulation plus sampling). Accepted by KindRun and the
-	// noisy kinds; rejected when effective on the deprecated ideal kinds.
+	// to one cached simulation plus sampling). Under an effective model
+	// Readouts.Trajectories defaults to 256, capped by
+	// Config.MaxTrajectories.
 	Noise *noise.Model
-	// Trajectories is the ensemble size for the deprecated noisy kinds
-	// (default 256, capped by Config.MaxTrajectories); KindRun uses
-	// Readouts.Trajectories.
-	Trajectories int
 	// Options forwards to core.Simulate (backend, strategy, Lm, ranks,
 	// fusion, …). Options.Backend selects the execution engine per request
 	// (validated against the registry at submit).
@@ -188,27 +155,21 @@ func (s Status) Terminal() bool {
 }
 
 // Result is a completed job's payload. Exactly the fields implied by Kind
-// are populated.
+// and the request's ReadoutSpec are populated.
 type Result struct {
 	Kind Kind
-	// Amplitudes is the final state (KindStatevector). It is a copy of the
+	// Amplitudes is the final state (Readouts.Statevector). It is a copy of the
 	// cached state made once per job, shared by every observer of that job
 	// (Wait, Job, the HTTP snapshot): mutating it never corrupts the
 	// cache, but treat it as read-only unless you are the job's sole
 	// reader.
 	Amplitudes []complex128
 	// Samples are the drawn basis-state indices and Counts their histogram
-	// (KindSample).
+	// (Readouts.Shots).
 	Samples []int
 	Counts  map[int]int
-	// Expectation is ⟨∏ Z_q⟩ (KindExpectation), or its trajectory mean
-	// (KindNoisyExpectation) with StdErr the standard error of that mean.
-	Expectation float64
-	StdErr      float64
-	// Trajectories is the executed ensemble size (noisy kinds).
+	// Trajectories is the executed ensemble size (effective-noise jobs).
 	Trajectories int
-	// Probabilities is the marginal distribution (KindProbabilities).
-	Probabilities []float64
 	// Marginals and Observables are the KindRun multi-readout payloads, in
 	// ReadoutSpec order.
 	Marginals   [][]float64
@@ -250,6 +211,15 @@ type Result struct {
 	// concurrent trajectories). Served over HTTP at
 	// GET /v1/jobs/{id}/profile.
 	Profile []prof.KernelStat
+}
+
+// setReadouts copies one evaluated read-out set onto the result.
+func (r *Result) setReadouts(ro *core.Readouts) {
+	r.Amplitudes = ro.Amplitudes
+	r.Samples = ro.Samples
+	r.Counts = ro.Counts
+	r.Marginals = ro.Marginals
+	r.Observables = ro.Observables
 }
 
 // JobInfo is a point-in-time snapshot of a job.
@@ -400,9 +370,6 @@ type Stats struct {
 	// is the compile-amortization scoreboard: a sweep of M bindings over a
 	// cold template bumps it by exactly 1.
 	TemplateCompiles int64 `json:"template_compiles"`
-	// ShimHits counts submissions through the deprecated v1 kinds (the
-	// shim.go table), informing the eventual removal.
-	ShimHits int64 `json:"shim_hits"`
 
 	CacheEntries int   `json:"cache_entries"`
 	CacheBytes   int64 `json:"cache_bytes"`
@@ -533,9 +500,17 @@ func (e *cacheEntry) cost() int64 {
 	return int64(len(e.state.Amps))*(16+8) + 1024 // + 1 KiB plan slack
 }
 
-// costed is a cacheable single-flight payload (cacheEntry's simulated
-// state or dmEntry's evolved ρ).
+// costed is a cacheable single-flight payload: a simulated state, an
+// evolved ρ, a compiled trajectory plan or a compiled template.
 type costed interface{ cost() int64 }
+
+// cacheItem is what both LRUs store: the payload plus the cache label its
+// hit/miss/residency series carry, so the eviction hook needs no key
+// parsing to attribute the eviction.
+type cacheItem struct {
+	val   costed
+	label string
+}
 
 // flight tracks one in-progress simulation so concurrent misses on the same
 // key wait for it instead of duplicating the work.
@@ -602,12 +577,6 @@ func (s *Service) Submit(req Request) (string, error) {
 // The context is NOT a cancellation scope for the job; job lifetime is
 // still bounded by the service root and Request.Timeout.
 func (s *Service) SubmitContext(ctx context.Context, req Request) (string, error) {
-	if (req.Kind == KindSample || req.Kind == KindNoisySample) && req.Shots == 0 {
-		req.Shots = min(1024, s.cfg.MaxShots)
-	}
-	if req.Kind.Noisy() && req.Trajectories == 0 {
-		req.Trajectories = min(256, s.cfg.MaxTrajectories)
-	}
 	if (req.Kind == KindRun || req.Kind == KindSweep) && !req.Noise.IsZero() && req.Readouts.Trajectories == 0 {
 		req.Readouts.Trajectories = min(256, s.cfg.MaxTrajectories)
 	}
@@ -624,14 +593,11 @@ func (s *Service) SubmitContext(ctx context.Context, req Request) (string, error
 	if err := s.validate(req); err != nil {
 		return "", err
 	}
-	if _, ok := v1Shims[req.Kind]; ok {
-		s.m.shimHits.With(string(req.Kind)).Inc()
-	}
 	// Capability enforcement happens here, at submit: an unknown backend, a
 	// rank/width mismatch, a noisy request on an engine with no noisy path,
 	// or a register over the engine's qubit cap is a submit error (an HTTP
 	// 400), never a worker-time failure.
-	noisy := req.Kind.Noisy() || !req.Noise.IsZero()
+	noisy := !req.Noise.IsZero()
 	if req.Kind.Parameterized() && req.Options.Backend == "" {
 		// Template jobs default to the engine that runs them; only an
 		// explicit non-flat backend is a submit error below.
@@ -642,7 +608,7 @@ func (s *Service) SubmitContext(ctx context.Context, req Request) (string, error
 		return "", fmt.Errorf("service: %w", err)
 	}
 	exact := caps.Noise == backend.NoiseExact
-	if exact && (req.Kind == KindStatevector || req.Readouts.Statevector) {
+	if exact && req.Readouts.Statevector {
 		return "", fmt.Errorf("service: statevector readout is not available on backend %q (ρ has no single amplitude vector)", idealBackend)
 	}
 	if req.Kind.Parameterized() && (exact || idealBackend != "flat") {
@@ -723,6 +689,9 @@ func (s *Service) validate(req Request) error {
 	if req.Circuit == nil {
 		return errors.New("service: nil circuit")
 	}
+	if err := checkKind(req.Kind); err != nil {
+		return fmt.Errorf("service: %w", err)
+	}
 	if err := req.Circuit.Validate(); err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
@@ -740,31 +709,24 @@ func (s *Service) validate(req Request) error {
 		// cache-keyed uniformly), never on the forwarded simulation options.
 		return fmt.Errorf("service: set Request.Noise, not Options.Noise")
 	}
+	if err := req.Noise.Validate(req.Circuit.NumQubits); err != nil {
+		return fmt.Errorf("service: %w", err)
+	}
 	// Symbol discipline first: every parameterized shape resolves to a
-	// complete, finite binding at submit (per grid point for sweeps), and
-	// symbols never leak into kinds that cannot bind them. The errors come
-	// from circuit.CheckBinding and name the offending symbol.
-	switch req.Kind {
-	case KindRun:
+	// complete, finite binding at submit (per grid point for sweeps). The
+	// errors come from circuit.CheckBinding and name the offending symbol.
+	if req.Kind == KindRun {
 		if req.Circuit.Parametric() || len(req.Params) > 0 {
 			if err := req.Circuit.CheckBinding(req.Params); err != nil {
 				return fmt.Errorf("service: %w", err)
 			}
 		}
-	case KindSweep, KindOptimize:
+	} else {
 		if len(req.Params) > 0 {
 			return fmt.Errorf("service: kind %q takes bindings from its %s spec, not Params", req.Kind, req.Kind)
 		}
 		if !req.Circuit.Parametric() {
 			return fmt.Errorf("service: kind %q needs a parameterized circuit (circuit %s has no symbols)", req.Kind, req.Circuit.Name)
-		}
-	default:
-		if len(req.Params) > 0 {
-			return fmt.Errorf("service: kind %q does not accept params (use %q)", req.Kind, KindRun)
-		}
-		if req.Circuit.Parametric() {
-			return fmt.Errorf("service: %w (bind via %q Params or submit a %q/%q job)",
-				req.Circuit.CheckBinding(nil), KindRun, KindSweep, KindOptimize)
 		}
 	}
 	if req.Sweep != nil && req.Kind != KindSweep {
@@ -773,52 +735,16 @@ func (s *Service) validate(req Request) error {
 	if req.Optimize != nil && req.Kind != KindOptimize {
 		return fmt.Errorf("service: kind %q does not accept an optimize spec (use %q)", req.Kind, KindOptimize)
 	}
-	if req.Kind != KindRun && req.Kind != KindSweep && !req.Readouts.Empty() {
-		return fmt.Errorf("service: kind %q does not accept a readout spec (use %q)", req.Kind, KindRun)
-	}
-	if req.Kind.Noisy() {
-		if req.Trajectories < 0 {
-			return fmt.Errorf("service: negative trajectory count %d", req.Trajectories)
-		}
-		if req.Trajectories > s.cfg.MaxTrajectories {
-			return fmt.Errorf("service: %d trajectories exceeds limit %d", req.Trajectories, s.cfg.MaxTrajectories)
-		}
-		if err := req.Noise.Validate(req.Circuit.NumQubits); err != nil {
-			return fmt.Errorf("service: %w", err)
-		}
-	} else if !req.Noise.IsZero() && req.Kind != KindRun && !req.Kind.Parameterized() {
-		return fmt.Errorf("service: kind %q does not accept a noise model (use %q or %q)",
-			req.Kind, KindRun, KindNoisySample)
-	}
 	switch req.Kind {
-	case KindRun:
-		// The legacy top-level read-out fields have no meaning on the v2
-		// kind; silently dropping them would let a half-migrated client
-		// believe its shots/seed were honored.
-		if req.Shots != 0 || req.Seed != 0 || len(req.Qubits) != 0 || req.Trajectories != 0 {
-			return fmt.Errorf("service: kind %q takes its read-outs from Readouts (move shots/seed/qubits/trajectories into the readout spec)", KindRun)
+	case KindOptimize:
+		if !req.Readouts.Empty() {
+			return fmt.Errorf("service: kind %q does not accept a readout spec (its objective is the optimize spec)", req.Kind)
 		}
-		if err := req.Readouts.Validate(req.Circuit.NumQubits); err != nil {
-			return fmt.Errorf("service: %w", err)
+		if req.Optimize == nil {
+			return fmt.Errorf("service: optimize needs an optimize spec (observables + method)")
 		}
-		if req.Readouts.Shots > s.cfg.MaxShots {
-			return fmt.Errorf("service: %d shots exceeds limit %d", req.Readouts.Shots, s.cfg.MaxShots)
-		}
-		if req.Readouts.Trajectories > s.cfg.MaxTrajectories {
-			return fmt.Errorf("service: %d trajectories exceeds limit %d", req.Readouts.Trajectories, s.cfg.MaxTrajectories)
-		}
-		if req.Noise != nil {
-			if err := req.Noise.Validate(req.Circuit.NumQubits); err != nil {
-				return fmt.Errorf("service: %w", err)
-			}
-			if !req.Noise.IsZero() && req.Readouts.Statevector {
-				return fmt.Errorf("service: statevector readout is undefined under an effective noise model")
-			}
-		}
+		return s.validateOptimize(req)
 	case KindSweep:
-		if req.Shots != 0 || req.Seed != 0 || len(req.Qubits) != 0 || req.Trajectories != 0 {
-			return fmt.Errorf("service: kind %q takes its read-outs from Readouts (move shots/seed/qubits/trajectories into the readout spec)", KindSweep)
-		}
 		if req.Readouts.TrajOffset != 0 || req.Readouts.TrajTotal != 0 || req.Readouts.Moments {
 			return fmt.Errorf("service: kind %q is split by sweep points, not trajectory ranges (drop traj_offset/traj_total/moments)", KindSweep)
 		}
@@ -833,56 +759,19 @@ func (s *Service) validate(req Request) error {
 				return fmt.Errorf("service: binding %d: %w", i, err)
 			}
 		}
-		if err := req.Readouts.Validate(req.Circuit.NumQubits); err != nil {
-			return fmt.Errorf("service: %w", err)
-		}
-		if req.Readouts.Shots > s.cfg.MaxShots {
-			return fmt.Errorf("service: %d shots exceeds limit %d", req.Readouts.Shots, s.cfg.MaxShots)
-		}
-		if req.Readouts.Trajectories > s.cfg.MaxTrajectories {
-			return fmt.Errorf("service: %d trajectories exceeds limit %d", req.Readouts.Trajectories, s.cfg.MaxTrajectories)
-		}
-		if req.Noise != nil {
-			if err := req.Noise.Validate(req.Circuit.NumQubits); err != nil {
-				return fmt.Errorf("service: %w", err)
-			}
-			if !req.Noise.IsZero() && req.Readouts.Statevector {
-				return fmt.Errorf("service: statevector readout is undefined under an effective noise model")
-			}
-		}
-	case KindOptimize:
-		if req.Shots != 0 || req.Seed != 0 || len(req.Qubits) != 0 || req.Trajectories != 0 {
-			return fmt.Errorf("service: kind %q drives its objective from the optimize spec (drop shots/seed/qubits/trajectories)", KindOptimize)
-		}
-		if req.Optimize == nil {
-			return fmt.Errorf("service: optimize needs an optimize spec (observables + method)")
-		}
-		if err := s.validateOptimize(req); err != nil {
-			return err
-		}
-	case KindStatevector:
-	case KindSample, KindNoisySample:
-		if req.Shots < 0 {
-			return fmt.Errorf("service: negative shot count %d", req.Shots)
-		}
-		if req.Shots > s.cfg.MaxShots {
-			return fmt.Errorf("service: %d shots exceeds limit %d", req.Shots, s.cfg.MaxShots)
-		}
-	case KindExpectation, KindProbabilities, KindNoisyExpectation:
-		seen := map[int]bool{}
-		for _, q := range req.Qubits {
-			if q < 0 || q >= req.Circuit.NumQubits {
-				return fmt.Errorf("service: qubit %d out of range [0,%d)", q, req.Circuit.NumQubits)
-			}
-			// Repeats are meaningful for Z strings (Z² = I) but would only
-			// amplify the marginal's 2^k result, so reject them there.
-			if req.Kind == KindProbabilities && seen[q] {
-				return fmt.Errorf("service: duplicate marginal qubit %d", q)
-			}
-			seen[q] = true
-		}
-	default:
-		return fmt.Errorf("service: unknown kind %q (want one of %v)", req.Kind, Kinds())
+	}
+	// KindRun and KindSweep share the read-out checks.
+	if err := req.Readouts.Validate(req.Circuit.NumQubits); err != nil {
+		return fmt.Errorf("service: %w", err)
+	}
+	if req.Readouts.Shots > s.cfg.MaxShots {
+		return fmt.Errorf("service: %d shots exceeds limit %d", req.Readouts.Shots, s.cfg.MaxShots)
+	}
+	if req.Readouts.Trajectories > s.cfg.MaxTrajectories {
+		return fmt.Errorf("service: %d trajectories exceeds limit %d", req.Readouts.Trajectories, s.cfg.MaxTrajectories)
+	}
+	if !req.Noise.IsZero() && req.Readouts.Statevector {
+		return fmt.Errorf("service: statevector readout is undefined under an effective noise model")
 	}
 	return nil
 }
@@ -993,7 +882,6 @@ func (s *Service) Stats() Stats {
 	})
 	s.m.cacheHits.Each(func(_ []string, v int64) { st.CacheHits += v })
 	s.m.cacheMisses.Each(func(_ []string, v int64) { st.CacheMisses += v })
-	s.m.shimHits.Each(func(_ []string, v int64) { st.ShimHits += v })
 	s.m.backendJobs.Each(func(labels []string, v int64) {
 		if st.Backends == nil {
 			st.Backends = map[string]int64{}
@@ -1148,7 +1036,7 @@ func resultBytes(r *Result) int64 {
 		return 0
 	}
 	b := int64(len(r.Amplitudes))*16 + int64(len(r.Samples))*8 +
-		int64(len(r.Counts))*16 + int64(len(r.Probabilities))*8
+		int64(len(r.Counts))*16
 	for _, m := range r.Marginals {
 		b += int64(len(m)) * 8
 	}
@@ -1196,8 +1084,7 @@ func (s *Service) setBackend(j *job, name string) {
 }
 
 // execute resolves the cache entry (simulating on miss) and derives every
-// read-out the job's spec names. All kinds — KindRun, the v3 template
-// kinds and the deprecated shims — pass through here.
+// read-out the job's spec names.
 func (s *Service) execute(j *job) (*Result, error) {
 	switch j.req.Kind {
 	case KindSweep:
@@ -1205,24 +1092,21 @@ func (s *Service) execute(j *job) (*Result, error) {
 	case KindOptimize:
 		return s.executeOptimize(j)
 	}
-	spec := specForJob(j.req)
 	if j.exact {
-		// Exact-noise engines serve every request shape — ideal, noisy,
-		// legacy kinds — from one cached density-matrix evolution.
-		return s.executeDM(j, spec)
+		// Exact-noise engines serve every request shape, ideal or noisy,
+		// from one cached density-matrix evolution.
+		return s.executeDM(j)
 	}
-	if j.req.Kind.Noisy() || !j.req.Noise.IsZero() {
-		// Legacy noisy kinds keep the ensemble path even for zero-effect
-		// models: their counts come from per-trajectory split RNGs, not the
-		// single sampling stream of the ideal kinds.
-		return s.executeNoisy(j, spec)
+	if !j.req.Noise.IsZero() {
+		return s.executeNoisy(j)
 	}
 	if j.req.Circuit.Parametric() {
 		// Bound template run (KindRun + Params on the flat engine): the
 		// compiled template is shared across bindings; only the bound
 		// state is per-binding (keyed by the binding digest).
-		return s.executeParamRun(j, spec)
+		return s.executeParamRun(j)
 	}
+	spec := j.req.Readouts
 	s.setBackend(j, j.idealBackend)
 	start := time.Now()
 	entry, hit, err := s.entryFor(j)
@@ -1239,7 +1123,7 @@ func (s *Service) execute(j *job) (*Result, error) {
 	if spec.Shots > 0 {
 		sampler = entry.getSampler() // reuse the cached CDF across jobs
 	}
-	legacyProject(res, core.EvaluateState(entry.state, sampler, spec))
+	res.setReadouts(core.EvaluateState(entry.state, sampler, spec))
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
@@ -1256,7 +1140,7 @@ func (s *Service) entryFor(j *job) (*cacheEntry, bool, error) {
 // per-binding.
 func (s *Service) entryForCircuit(j *job, c *circuit.Circuit) (*cacheEntry, bool, error) {
 	key := cacheKey(c, j.req.Options, j.idealBackend)
-	v, hit, err := s.cachedCompute(j, key, func() (costed, error) {
+	v, hit, err := s.cachedCompute(j, s.cache, cacheState, key, func() (costed, error) {
 		e, err := s.simulate(j, c)
 		if err != nil {
 			return nil, err
@@ -1269,21 +1153,21 @@ func (s *Service) entryForCircuit(j *job, c *circuit.Circuit) (*cacheEntry, bool
 	return v.(*cacheEntry), hit, nil
 }
 
-// cachedCompute returns the cached payload for key, running compute at
-// most once across concurrent misses: the first claimant publishes a
-// flight, everyone else waits on it (or loops to claim the key themselves
-// when the owner was canceled — that says nothing about their own job;
-// a real compute failure would fail them identically).
-func (s *Service) cachedCompute(j *job, key string, compute func() (costed, error)) (costed, bool, error) {
-	// The cache label (state vs rho) is keyed by the entry's key prefix,
-	// so one LRU serves two logically distinct metric series.
-	cacheName := mainCacheName(key)
+// cachedCompute returns the payload cached in c under key, running
+// compute at most once across concurrent misses: the first claimant
+// publishes a flight, everyone else waits on it (or loops to claim the key
+// themselves when the owner was canceled — that says nothing about their
+// own job; a real compute failure would fail them identically). label
+// names the cache in the hit/miss/residency metrics. Keys are unique
+// across both LRUs (each key family has its own prefix), so one in-flight
+// table serves them all.
+func (s *Service) cachedCompute(j *job, c *lru.Cache, label, key string, compute func() (costed, error)) (costed, bool, error) {
 	for {
 		s.mu.Lock()
-		if v, ok := s.cache.Get(key); ok {
+		if v, ok := c.Get(key); ok {
 			s.mu.Unlock()
-			s.m.cacheHits.With(cacheName).Inc()
-			return v.(costed), true, nil
+			s.m.cacheHits.With(label).Inc()
+			return v.(cacheItem).val, true, nil
 		}
 		if fl, ok := s.inflight[key]; ok {
 			s.mu.Unlock()
@@ -1298,20 +1182,21 @@ func (s *Service) cachedCompute(j *job, key string, compute func() (costed, erro
 				}
 				return nil, false, fl.err
 			}
-			s.m.cacheHits.With(cacheName).Inc()
+			s.m.cacheHits.With(label).Inc()
 			return fl.val, true, nil
 		}
 		fl := &flight{done: make(chan struct{})}
 		s.inflight[key] = fl
 		s.mu.Unlock()
 
-		s.m.cacheMisses.With(cacheName).Inc()
+		s.m.cacheMisses.With(label).Inc()
 		fl.val, fl.err = compute()
 		s.mu.Lock()
 		delete(s.inflight, key)
 		if fl.err == nil {
-			if s.cache.Put(key, fl.val, fl.val.cost()) {
-				s.m.cachePut(cacheName, fl.val.cost())
+			cost := fl.val.cost()
+			if c.Put(key, cacheItem{val: fl.val, label: label}, cost) {
+				s.m.cachePut(label, cost)
 			}
 		}
 		s.mu.Unlock()
@@ -1342,17 +1227,17 @@ func (s *Service) widenTrajectories() (int, func()) {
 	}
 }
 
-// executeNoisy runs a trajectory-ensemble job (any kind carrying a noise
-// model, plus the legacy noisy kinds even when their model is zero-effect).
-// The compiled (circuit + noise model) plan is cached in the dedicated
+// executeNoisy runs a trajectory-ensemble job (KindRun under an effective
+// noise model). The compiled (circuit + noise model) plan is cached in the dedicated
 // plan LRU and shared across requests — fuse and plan once, then every
 // request replays it for its own seeded trajectories — and the trajectory
 // batch fans out across the service's worker-pool width. Zero-effect
-// models degrade gracefully to the ideal plan/state cache: the ensemble
-// then costs sampling only, exactly like KindSample.
-func (s *Service) executeNoisy(j *job, spec core.ReadoutSpec) (*Result, error) {
+// models (a readout error alone) degrade gracefully to the ideal
+// plan/state cache: the ensemble then costs sampling only.
+func (s *Service) executeNoisy(j *job) (*Result, error) {
 	start := time.Now()
 	req := j.req
+	spec := req.Readouts
 	width, release := s.widenTrajectories()
 	defer release()
 	run := spec.NoisyRunConfig(width)
@@ -1411,7 +1296,7 @@ func (s *Service) executeNoisy(j *job, spec core.ReadoutSpec) (*Result, error) {
 		res.Moments = ens.Moments
 	}
 	j.trace.Begin(stageSample)
-	legacyProject(res, core.ReadoutsFromEnsemble(ens, spec))
+	res.setReadouts(core.ReadoutsFromEnsemble(ens, spec))
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
@@ -1422,7 +1307,7 @@ func (s *Service) executeNoisy(j *job, spec core.ReadoutSpec) (*Result, error) {
 // spec names. The compiled plan comes from the same digest-keyed plan cache
 // the trajectory path uses, and the evolved ρ is cached like an ideal
 // state: repeat DM jobs — any seed, any readout mix — cost sampling only.
-func (s *Service) executeDM(j *job, spec core.ReadoutSpec) (*Result, error) {
+func (s *Service) executeDM(j *job) (*Result, error) {
 	start := time.Now()
 	s.setBackend(j, j.idealBackend)
 	j.trace.Begin(stageCompile)
@@ -1440,7 +1325,7 @@ func (s *Service) executeDM(j *job, spec core.ReadoutSpec) (*Result, error) {
 		Waited:   j.started.Sub(j.submitted),
 	}
 	j.trace.Begin(stageSample)
-	legacyProject(res, core.EvaluateDensity(entry.d, plan.Readout(), spec))
+	res.setReadouts(core.EvaluateDensity(entry.d, plan.Readout(), j.req.Readouts))
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
@@ -1450,7 +1335,7 @@ func (s *Service) executeDM(j *job, spec core.ReadoutSpec) (*Result, error) {
 // counted as a simulation (one DM evolution is the engine's whole run).
 func (s *Service) dmEntryFor(j *job, plan *noise.Plan) (*dmEntry, bool, error) {
 	key := dmKey(j.req.Circuit, j.req.Options, j.req.Noise)
-	v, hit, err := s.cachedCompute(j, key, func() (costed, error) {
+	v, hit, err := s.cachedCompute(j, s.cache, cacheRho, key, func() (costed, error) {
 		s.m.simulations.Inc()
 		j.trace.Begin(stageSimulate)
 		d, err := dm.Evolve(j.ctx, plan, j.req.Options.Workers)
@@ -1474,40 +1359,34 @@ func dmKey(c *circuit.Circuit, o core.Options, m *noise.Model) string {
 	return fmt.Sprintf("dm|%s|f=%t mf=%d", c.FingerprintWith(m.Hash()), !o.NoFuse, o.MaxFuseQubits)
 }
 
-// noisePlanEntry wraps a compiled trajectory plan for the LRU cache.
+// noisePlanEntry wraps a compiled trajectory plan for the plan LRU.
 type noisePlanEntry struct {
 	plan *noise.Plan
 }
 
+func (e *noisePlanEntry) cost() int64 { return e.plan.MemoryBytes() }
+
 // noisePlanFor returns the compiled trajectory plan for the job's
-// (circuit, noise, fusion) key, compiling on miss. Plans live in their own
-// small LRU (Config.PlanCacheBytes), not the plan/state cache: they are a
-// few KiB but hot, and sharing a budget with 2^n-amplitude states let one
-// burst of statevector jobs evict every compiled plan. Unlike entryFor,
-// misses are not single-flighted: compilation is plan construction, not
-// simulation, so a duplicated compile under a request burst is benign.
+// (circuit, noise, fusion) key, compiling on miss (single-flighted like
+// entryFor, so a burst of cold requests compiles once). Plans live in
+// their own small LRU (Config.PlanCacheBytes), not the plan/state cache:
+// they are a few KiB but hot, and sharing a budget with 2^n-amplitude
+// states let one burst of statevector jobs evict every compiled plan.
 func (s *Service) noisePlanFor(j *job) (*noise.Plan, bool, error) {
 	key := noisePlanKey(j.req.Circuit, j.req.Options, j.req.Noise)
-	s.mu.Lock()
-	if v, ok := s.planCache.Get(key); ok {
-		s.mu.Unlock()
-		s.m.cacheHits.With(cachePlan).Inc()
-		return v.(*noisePlanEntry).plan, true, nil
-	}
-	s.mu.Unlock()
-	s.m.cacheMisses.With(cachePlan).Inc()
-	plan, err := noise.Compile(j.req.Circuit, j.req.Noise, noise.CompileOptions{
-		Fuse: !j.req.Options.NoFuse, MaxFuseQubits: j.req.Options.MaxFuseQubits,
+	v, hit, err := s.cachedCompute(j, s.planCache, cachePlan, key, func() (costed, error) {
+		plan, err := noise.Compile(j.req.Circuit, j.req.Noise, noise.CompileOptions{
+			Fuse: !j.req.Options.NoFuse, MaxFuseQubits: j.req.Options.MaxFuseQubits,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return &noisePlanEntry{plan: plan}, nil
 	})
 	if err != nil {
-		return nil, false, err
+		return nil, hit, err
 	}
-	s.mu.Lock()
-	if s.planCache.Put(key, &noisePlanEntry{plan: plan}, plan.MemoryBytes()) {
-		s.m.cachePut(cachePlan, plan.MemoryBytes())
-	}
-	s.mu.Unlock()
-	return plan, false, nil
+	return v.(*noisePlanEntry).plan, hit, nil
 }
 
 // noisePlanKey is the content address of a compiled trajectory plan: the

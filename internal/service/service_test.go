@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,12 @@ import (
 	"hisvsim/internal/core"
 	"hisvsim/internal/noise"
 	"hisvsim/internal/sv"
+)
+
+// Read-out specs the tests use as a plain vehicle.
+var (
+	statevector = core.ReadoutSpec{Statevector: true}
+	shots       = core.ReadoutSpec{Shots: 16}
 )
 
 func newTest(t *testing.T, cfg Config) *Service {
@@ -31,7 +38,7 @@ func TestSampleMatchesDirectSimulation(t *testing.T) {
 	opts := core.Options{Strategy: "dagp", Lm: 5, Seed: 3}
 
 	res, err := s.Do(context.Background(), Request{
-		Circuit: c, Kind: KindSample, Shots: 500, Seed: 99, Options: opts,
+		Circuit: c, Kind: KindRun, Readouts: core.ReadoutSpec{Shots: 500, Seed: 99}, Options: opts,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,29 +75,30 @@ func TestExpectationAndProbabilitiesMatchDirect(t *testing.T) {
 	}
 
 	exp, err := s.Do(context.Background(), Request{
-		Circuit: c, Kind: KindExpectation, Qubits: []int{0, 3}, Options: opts,
+		Circuit: c, Kind: KindRun, Options: opts,
+		Readouts: core.ReadoutSpec{Observables: []core.Observable{{Paulis: "ZZ", Qubits: []int{0, 3}}}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := direct.State.ExpectationPauliZString([]int{0, 3}); exp.Expectation != want {
-		t.Fatalf("⟨Z0Z3⟩ service %v vs direct %v", exp.Expectation, want)
+	if want := direct.State.ExpectationPauliZString([]int{0, 3}); exp.Observables[0].Value != want {
+		t.Fatalf("⟨Z0Z3⟩ service %v vs direct %v", exp.Observables[0].Value, want)
 	}
 
 	prob, err := s.Do(context.Background(), Request{
-		Circuit: c, Kind: KindProbabilities, Qubits: []int{1, 2}, Options: opts,
+		Circuit: c, Kind: KindRun, Readouts: core.ReadoutSpec{Marginals: [][]int{{1, 2}}}, Options: opts,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := direct.State.Marginal([]int{1, 2})
 	for i := range want {
-		if prob.Probabilities[i] != want[i] {
-			t.Fatalf("marginal[%d] service %v vs direct %v", i, prob.Probabilities[i], want[i])
+		if prob.Marginals[0][i] != want[i] {
+			t.Fatalf("marginal[%d] service %v vs direct %v", i, prob.Marginals[0][i], want[i])
 		}
 	}
 
-	stv, err := s.Do(context.Background(), Request{Circuit: c, Kind: KindStatevector, Options: opts})
+	stv, err := s.Do(context.Background(), Request{Circuit: c, Kind: KindRun, Readouts: statevector, Options: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +113,7 @@ func TestDistributedRequestThroughService(t *testing.T) {
 	s := newTest(t, Config{Workers: 1})
 	c := circuit.MustNamed("qft", 8)
 	opts := core.Options{Strategy: "dagp", Ranks: 4}
-	res, err := s.Do(context.Background(), Request{Circuit: c, Kind: KindStatevector, Options: opts})
+	res, err := s.Do(context.Background(), Request{Circuit: c, Kind: KindRun, Readouts: statevector, Options: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +133,7 @@ func TestCacheHitSkipsSimulationBitIdentical(t *testing.T) {
 	// (execution counter pinned at 1) and must return bit-identical results.
 	s := newTest(t, Config{Workers: 1})
 	c := circuit.MustNamed("qft", 9)
-	req := Request{Circuit: c, Kind: KindStatevector, Options: core.Options{Strategy: "dagp", Lm: 6}}
+	req := Request{Circuit: c, Kind: KindRun, Readouts: statevector, Options: core.Options{Strategy: "dagp", Lm: 6}}
 
 	cold, err := s.Do(context.Background(), req)
 	if err != nil {
@@ -156,8 +164,8 @@ func TestCacheHitSkipsSimulationBitIdentical(t *testing.T) {
 
 	// "fuse": "on" parses to the default (fused) options, so it shares an
 	// entry with the request that left fusion unset.
-	req4, err := ParseRequest([]byte(`{"circuit": {"family": "qft", "qubits": 9}, "kind": "statevector",
-		"options": {"strategy": "dagp", "lm": 6, "fuse": "on"}}`))
+	req4, err := ParseRequest([]byte(`{"circuit": {"family": "qft", "qubits": 9}, "kind": "run",
+		"readouts": {"statevector": true}, "options": {"strategy": "dagp", "lm": 6, "fuse": "on"}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,12 +197,13 @@ func TestSampleSeedsShareOneSimulation(t *testing.T) {
 	// N samplings; equal seeds reproduce the exact shot sequence.
 	s := newTest(t, Config{Workers: 2})
 	c := circuit.MustNamed("qaoa", 8)
-	base := Request{Circuit: c, Kind: KindSample, Shots: 100, Options: core.Options{Strategy: "dagp", Lm: 5}}
+	base := Request{Circuit: c, Kind: KindRun, Readouts: core.ReadoutSpec{Shots: 100},
+		Options: core.Options{Strategy: "dagp", Lm: 5}}
 
 	bySeed := map[int64][]int{}
 	for _, seed := range []int64{1, 2, 3, 1} {
 		req := base
-		req.Seed = seed
+		req.Readouts.Seed = seed
 		res, err := s.Do(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
@@ -233,7 +242,7 @@ func TestConcurrentSubmissionsRace(t *testing.T) {
 			defer wg.Done()
 			c := circs[g%len(circs)]
 			res, err := s.Do(context.Background(), Request{
-				Circuit: c, Kind: KindSample, Shots: 50, Seed: 7,
+				Circuit: c, Kind: KindRun, Readouts: core.ReadoutSpec{Shots: 50, Seed: 7},
 				Options: core.Options{Strategy: "dagp", Lm: 5},
 			})
 			if err != nil {
@@ -265,7 +274,7 @@ func TestConcurrentSubmissionsRace(t *testing.T) {
 func TestAsyncSubmitPollWait(t *testing.T) {
 	s := newTest(t, Config{Workers: 1})
 	c := circuit.MustNamed("grover", 6)
-	id, err := s.Submit(Request{Circuit: c, Kind: KindSample, Shots: 10, Options: core.Options{Strategy: "nat"}})
+	id, err := s.Submit(Request{Circuit: c, Kind: KindRun, Readouts: core.ReadoutSpec{Shots: 10}, Options: core.Options{Strategy: "nat"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,11 +307,11 @@ func TestCancelQueuedJob(t *testing.T) {
 	s := newTest(t, Config{Workers: 1})
 	slow := circuit.MustNamed("qft", 14)
 	quick := circuit.MustNamed("bv", 6)
-	slowID, err := s.Submit(Request{Circuit: slow, Kind: KindStatevector, Options: core.Options{Strategy: "dagp", Lm: 8}})
+	slowID, err := s.Submit(Request{Circuit: slow, Kind: KindRun, Readouts: statevector, Options: core.Options{Strategy: "dagp", Lm: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	victimID, err := s.Submit(Request{Circuit: quick, Kind: KindStatevector})
+	victimID, err := s.Submit(Request{Circuit: quick, Kind: KindRun, Readouts: statevector})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,10 +332,11 @@ func TestCancelQueuedJob(t *testing.T) {
 func TestRequestTimeout(t *testing.T) {
 	s := newTest(t, Config{Workers: 1})
 	_, err := s.Do(context.Background(), Request{
-		Circuit: circuit.MustNamed("qft", 14),
-		Kind:    KindStatevector,
-		Options: core.Options{Strategy: "nat", Lm: 4},
-		Timeout: time.Nanosecond,
+		Circuit:  circuit.MustNamed("qft", 14),
+		Kind:     KindRun,
+		Readouts: statevector,
+		Options:  core.Options{Strategy: "nat", Lm: 4},
+		Timeout:  time.Nanosecond,
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
@@ -340,20 +350,27 @@ func TestValidationErrors(t *testing.T) {
 		name string
 		req  Request
 	}{
-		{"nil circuit", Request{Kind: KindSample}},
+		{"nil circuit", Request{Kind: KindRun, Readouts: shots}},
 		{"unknown kind", Request{Circuit: good, Kind: "bogus"}},
-		{"negative shots", Request{Circuit: good, Kind: KindSample, Shots: -1}},
-		{"qubit out of range", Request{Circuit: good, Kind: KindExpectation, Qubits: []int{9}}},
-		{"too wide", Request{Circuit: circuit.MustNamed("bv", 12), Kind: KindSample}},
-		{"too many shots", Request{Circuit: good, Kind: KindSample, Shots: 1 << 62}},
-		{"duplicate marginal qubit", Request{Circuit: good, Kind: KindProbabilities, Qubits: []int{1, 1}}},
-		{"too many ranks", Request{Circuit: good, Kind: KindSample, Options: core.Options{Ranks: 1 << 24}}},
-		{"too many workers", Request{Circuit: good, Kind: KindSample, Options: core.Options{Workers: 1 << 30}}},
+		{"negative shots", Request{Circuit: good, Kind: KindRun, Readouts: core.ReadoutSpec{Shots: -1}}},
+		{"qubit out of range", Request{Circuit: good, Kind: KindRun,
+			Readouts: core.ReadoutSpec{Observables: []core.Observable{{Paulis: "Z", Qubits: []int{9}}}}}},
+		{"too wide", Request{Circuit: circuit.MustNamed("bv", 12), Kind: KindRun, Readouts: shots}},
+		{"too many shots", Request{Circuit: good, Kind: KindRun, Readouts: core.ReadoutSpec{Shots: 1 << 62}}},
+		{"duplicate marginal qubit", Request{Circuit: good, Kind: KindRun,
+			Readouts: core.ReadoutSpec{Marginals: [][]int{{1, 1}}}}},
+		{"too many ranks", Request{Circuit: good, Kind: KindRun, Readouts: shots, Options: core.Options{Ranks: 1 << 24}}},
+		{"too many workers", Request{Circuit: good, Kind: KindRun, Readouts: shots, Options: core.Options{Workers: 1 << 30}}},
 	}
 	for _, tc := range cases {
 		if _, err := s.Submit(tc.req); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+	// A removed kind names the accepted ones.
+	_, err := s.Submit(Request{Circuit: good, Kind: "sample", Readouts: shots})
+	if err == nil || !strings.Contains(err.Error(), "[run sweep optimize]") {
+		t.Errorf("removed kind error %v does not name the accepted kinds", err)
 	}
 	if s.Stats().Submitted != 0 {
 		t.Fatal("rejected submissions were counted")
@@ -362,7 +379,8 @@ func TestValidationErrors(t *testing.T) {
 
 func TestQueueFullBackpressure(t *testing.T) {
 	s := newTest(t, Config{Workers: 1, QueueDepth: 1})
-	blocker := Request{Circuit: circuit.MustNamed("qft", 13), Kind: KindStatevector, Options: core.Options{Strategy: "dagp", Lm: 8}}
+	blocker := Request{Circuit: circuit.MustNamed("qft", 13), Kind: KindRun, Readouts: statevector,
+		Options: core.Options{Strategy: "dagp", Lm: 8}}
 	if _, err := s.Submit(blocker); err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +401,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 func TestSubmitAfterCloseFails(t *testing.T) {
 	s := New(Config{Workers: 1})
 	s.Close()
-	if _, err := s.Submit(Request{Circuit: circuit.MustNamed("bv", 4), Kind: KindSample}); !errors.Is(err, ErrClosed) {
+	if _, err := s.Submit(Request{Circuit: circuit.MustNamed("bv", 4), Kind: KindRun, Readouts: shots}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }
@@ -392,38 +410,20 @@ func TestCacheDisabled(t *testing.T) {
 	s := newTest(t, Config{Workers: 1, CacheBytes: -1})
 	c := circuit.MustNamed("bv", 6)
 	for i := 0; i < 2; i++ {
-		res, err := s.Do(context.Background(), Request{Circuit: c, Kind: KindProbabilities, Qubits: []int{0}})
+		res, err := s.Do(context.Background(), Request{Circuit: c, Kind: KindRun,
+			Readouts: core.ReadoutSpec{Marginals: [][]int{{0}}}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.CacheHit {
 			t.Fatal("cache hit with caching disabled")
 		}
-		if math.Abs(res.Probabilities[0]+res.Probabilities[1]-1) > 1e-9 {
-			t.Fatalf("marginal not normalized: %v", res.Probabilities)
+		if m := res.Marginals[0]; math.Abs(m[0]+m[1]-1) > 1e-9 {
+			t.Fatalf("marginal not normalized: %v", m)
 		}
 	}
 	if got := s.Stats().Simulations; got != 2 {
 		t.Fatalf("simulations = %d, want 2 with cache disabled", got)
-	}
-}
-
-func TestDefaultShotsClampedToMaxShots(t *testing.T) {
-	// Omitting Shots must respect an operator MaxShots below the 1024
-	// default rather than bypassing it.
-	s := newTest(t, Config{Workers: 1, MaxShots: 100})
-	res, err := s.Do(context.Background(), Request{Circuit: circuit.MustNamed("bv", 5), Kind: KindSample})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Samples) != 100 {
-		t.Fatalf("default shots = %d, want clamp to 100", len(res.Samples))
-	}
-	// Expectation strings may still repeat qubits (Z² = I).
-	if _, err := s.Do(context.Background(), Request{
-		Circuit: circuit.MustNamed("bv", 5), Kind: KindExpectation, Qubits: []int{0, 0},
-	}); err != nil {
-		t.Fatalf("repeated Z-string qubits rejected: %v", err)
 	}
 }
 
@@ -432,7 +432,7 @@ func TestRetainBytesEvictsHeavyResults(t *testing.T) {
 	// (oldest first), while light jobs stay pollable under the count bound.
 	s := newTest(t, Config{Workers: 1, RetainBytes: 3 * (16 << 7)}) // room for ~3 7-qubit statevectors
 	for i := 0; i < 6; i++ {
-		res, err := s.Do(context.Background(), Request{Circuit: circuit.MustNamed("qft", 7), Kind: KindStatevector})
+		res, err := s.Do(context.Background(), Request{Circuit: circuit.MustNamed("qft", 7), Kind: KindRun, Readouts: statevector})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -459,7 +459,7 @@ func TestRetainBytesEvictsHeavyResults(t *testing.T) {
 func TestStatevectorResultIsACopy(t *testing.T) {
 	s := newTest(t, Config{Workers: 1})
 	c := circuit.MustNamed("bv", 5)
-	req := Request{Circuit: c, Kind: KindStatevector}
+	req := Request{Circuit: c, Kind: KindRun, Readouts: statevector}
 	a, err := s.Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -488,7 +488,7 @@ func TestNoisySampleDeterministicAndPlanCached(t *testing.T) {
 	s := newTest(t, Config{Workers: 2})
 	c := circuit.MustNamed("ising", 6)
 	req := Request{
-		Circuit: c, Kind: KindNoisySample, Shots: 400, Seed: 7, Trajectories: 20,
+		Circuit: c, Kind: KindRun, Readouts: core.ReadoutSpec{Shots: 400, Seed: 7, Trajectories: 20},
 		Noise: noise.Global(noise.Depolarizing(0.02)),
 	}
 	a, err := s.Do(context.Background(), req)
@@ -539,8 +539,11 @@ func TestNoisySampleDeterministicAndPlanCached(t *testing.T) {
 func TestNoisyExpectationStdErr(t *testing.T) {
 	s := newTest(t, Config{Workers: 2})
 	res, err := s.Do(context.Background(), Request{
-		Circuit: circuit.MustNamed("qft", 6), Kind: KindNoisyExpectation,
-		Qubits: []int{0, 1}, Seed: 3, Trajectories: 40,
+		Circuit: circuit.MustNamed("qft", 6), Kind: KindRun,
+		Readouts: core.ReadoutSpec{
+			Observables: []core.Observable{{Paulis: "ZZ", Qubits: []int{0, 1}}},
+			Seed:        3, Trajectories: 40,
+		},
 		Noise: noise.Global(noise.AmplitudeDamping(0.05)),
 	})
 	if err != nil {
@@ -549,11 +552,12 @@ func TestNoisyExpectationStdErr(t *testing.T) {
 	if res.Trajectories != 40 {
 		t.Fatalf("Trajectories = %d", res.Trajectories)
 	}
-	if res.StdErr < 0 || math.IsNaN(res.StdErr) {
-		t.Fatalf("StdErr = %g", res.StdErr)
+	z := res.Observables[0]
+	if z.StdErr < 0 || math.IsNaN(z.StdErr) {
+		t.Fatalf("StdErr = %g", z.StdErr)
 	}
-	if math.Abs(res.Expectation) > 1 {
-		t.Fatalf("Expectation = %g out of [-1,1]", res.Expectation)
+	if math.Abs(z.Value) > 1 {
+		t.Fatalf("⟨Z0Z1⟩ = %g out of [-1,1]", z.Value)
 	}
 }
 
@@ -564,12 +568,12 @@ func TestNoisyZeroModelSharesIdealCache(t *testing.T) {
 	c := circuit.MustNamed("qft", 7)
 	opts := core.Options{Strategy: "dagp", Lm: 5, Seed: 1}
 	if _, err := s.Do(context.Background(), Request{
-		Circuit: c, Kind: KindSample, Shots: 100, Options: opts,
+		Circuit: c, Kind: KindRun, Readouts: core.ReadoutSpec{Shots: 100}, Options: opts,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := s.Do(context.Background(), Request{
-		Circuit: c, Kind: KindNoisySample, Shots: 100, Trajectories: 4,
+		Circuit: c, Kind: KindRun, Readouts: core.ReadoutSpec{Shots: 100, Trajectories: 4},
 		Noise: noise.Global(noise.Depolarizing(0)), Options: opts,
 	})
 	if err != nil {
@@ -586,19 +590,21 @@ func TestNoisyZeroModelSharesIdealCache(t *testing.T) {
 func TestNoisyValidation(t *testing.T) {
 	s := newTest(t, Config{Workers: 1, MaxTrajectories: 100})
 	c := circuit.MustNamed("bv", 5)
+	flip := noise.Global(noise.BitFlip(0.1))
 	bad := []Request{
-		{Circuit: c, Kind: KindNoisySample, Trajectories: 101,
-			Noise: noise.Global(noise.BitFlip(0.1))}, // over trajectory cap
-		{Circuit: c, Kind: KindNoisySample, Trajectories: -1,
-			Noise: noise.Global(noise.BitFlip(0.1))}, // negative trajectories
-		{Circuit: c, Kind: KindNoisySample,
+		{Circuit: c, Kind: KindRun, Readouts: core.ReadoutSpec{Shots: 10, Trajectories: 101},
+			Noise: flip}, // over trajectory cap
+		{Circuit: c, Kind: KindRun, Readouts: core.ReadoutSpec{Shots: 10, Trajectories: -1},
+			Noise: flip}, // negative trajectories
+		{Circuit: c, Kind: KindRun, Readouts: shots,
 			Noise: noise.Global(noise.BitFlip(1.5))}, // probability out of bounds
-		{Circuit: c, Kind: KindNoisyExpectation, Qubits: []int{9},
-			Noise: noise.Global(noise.BitFlip(0.1))}, // qubit out of range
-		{Circuit: c, Kind: KindSample,
-			Noise: noise.Global(noise.BitFlip(0.1))}, // noise on an ideal kind
-		{Circuit: c, Kind: KindSample,
-			Options: core.Options{Noise: noise.Global(noise.BitFlip(0.1))}}, // noise inside options
+		{Circuit: c, Kind: KindRun,
+			Readouts: core.ReadoutSpec{Observables: []core.Observable{{Paulis: "Z", Qubits: []int{9}}}},
+			Noise:    flip}, // qubit out of range
+		{Circuit: c, Kind: KindRun, Readouts: statevector,
+			Noise: flip}, // statevector under noise
+		{Circuit: c, Kind: KindRun, Readouts: shots,
+			Options: core.Options{Noise: flip}}, // noise inside options
 	}
 	for i, req := range bad {
 		if _, err := s.Submit(req); err == nil {
@@ -606,8 +612,8 @@ func TestNoisyValidation(t *testing.T) {
 		}
 	}
 	// The boundary values pass.
-	if _, err := s.Submit(Request{Circuit: c, Kind: KindNoisySample, Trajectories: 100,
-		Noise: noise.Global(noise.BitFlip(0.1))}); err != nil {
+	if _, err := s.Submit(Request{Circuit: c, Kind: KindRun,
+		Readouts: core.ReadoutSpec{Shots: 10, Trajectories: 100}, Noise: flip}); err != nil {
 		t.Errorf("limit trajectory count rejected: %v", err)
 	}
 }
@@ -619,8 +625,8 @@ func TestConcurrentNoisyJobsShareTrajectoryTokens(t *testing.T) {
 	c := circuit.MustNamed("qft", 6)
 	req := func(seed int64) Request {
 		return Request{
-			Circuit: c, Kind: KindNoisySample, Shots: 100, Seed: seed,
-			Trajectories: 12, Noise: noise.Global(noise.Depolarizing(0.05)),
+			Circuit: c, Kind: KindRun, Readouts: core.ReadoutSpec{Shots: 100, Seed: seed, Trajectories: 12},
+			Noise: noise.Global(noise.Depolarizing(0.05)),
 		}
 	}
 	ids := make([]string, 6)

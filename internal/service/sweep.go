@@ -10,6 +10,7 @@ import (
 	"hisvsim/internal/core"
 	"hisvsim/internal/fuse"
 	"hisvsim/internal/noise"
+	"hisvsim/internal/sv"
 )
 
 // This file is the service half of the v3 template surface: binding-grid
@@ -159,33 +160,29 @@ type templateEntry struct {
 	tpl *fuse.Program
 }
 
+func (e *templateEntry) cost() int64 { return e.tpl.MemoryBytes() }
+
 // templateFor returns the compiled template for the circuit's TEMPLATE
 // fingerprint (structure + symbol names, not binding values), compiling on
 // miss. Templates live beside trajectory plans in the dedicated plan LRU:
 // they are small, hot, and must survive bursts of giant state entries.
 // Every real compile bumps Stats.TemplateCompiles — the counter the sweep
-// acceptance gate watches.
-func (s *Service) templateFor(c *circuit.Circuit, o core.Options) (*fuse.Program, bool, error) {
+// acceptance gate watches — and concurrent misses compile once.
+func (s *Service) templateFor(j *job) (*fuse.Program, bool, error) {
+	c, o := j.req.Circuit, j.req.Options
 	key := fmt.Sprintf("tpl|%s|f=%t mf=%d", c.Fingerprint(), !o.NoFuse, o.MaxFuseQubits)
-	s.mu.Lock()
-	if v, ok := s.planCache.Get(key); ok {
-		s.mu.Unlock()
-		s.m.cacheHits.With(cachePlan).Inc()
-		return v.(*templateEntry).tpl, true, nil
-	}
-	s.mu.Unlock()
-	s.m.cacheMisses.With(cachePlan).Inc()
-	s.m.templateCompiles.Inc()
-	tpl, err := fuse.Compile(c.Gates, c.NumQubits, !o.NoFuse, fuse.Options{MaxQubits: o.MaxFuseQubits})
+	v, hit, err := s.cachedCompute(j, s.planCache, cachePlan, key, func() (costed, error) {
+		s.m.templateCompiles.Inc()
+		tpl, err := fuse.Compile(c.Gates, c.NumQubits, !o.NoFuse, fuse.Options{MaxQubits: o.MaxFuseQubits})
+		if err != nil {
+			return nil, err
+		}
+		return &templateEntry{tpl: tpl}, nil
+	})
 	if err != nil {
-		return nil, false, err
+		return nil, hit, err
 	}
-	s.mu.Lock()
-	if s.planCache.Put(key, &templateEntry{tpl: tpl}, tpl.MemoryBytes()) {
-		s.m.cachePut(cachePlan, tpl.MemoryBytes())
-	}
-	s.mu.Unlock()
-	return tpl, false, nil
+	return v.(*templateEntry).tpl, hit, nil
 }
 
 // templateEntryFor returns the cached bound state for (template, binding):
@@ -196,9 +193,9 @@ func (s *Service) templateEntryFor(j *job, env map[string]float64) (*cacheEntry,
 	o := j.req.Options
 	key := fmt.Sprintf("tplrun|%s|%s|f=%t mf=%d w=%d",
 		j.req.Circuit.Fingerprint(), circuit.BindingDigest(env), !o.NoFuse, o.MaxFuseQubits, o.Workers)
-	v, hit, err := s.cachedCompute(j, key, func() (costed, error) {
+	v, hit, err := s.cachedCompute(j, s.cache, cacheState, key, func() (costed, error) {
 		j.trace.Begin(stageCompile)
-		tpl, _, err := s.templateFor(j.req.Circuit, j.req.Options)
+		tpl, _, err := s.templateFor(j)
 		if err != nil {
 			return nil, err
 		}
@@ -220,7 +217,7 @@ func (s *Service) templateEntryFor(j *job, env map[string]float64) (*cacheEntry,
 // flat engine: the shared template is specialized for the request's Params
 // and the result is indistinguishable from running the bound concrete
 // circuit.
-func (s *Service) executeParamRun(j *job, spec core.ReadoutSpec) (*Result, error) {
+func (s *Service) executeParamRun(j *job) (*Result, error) {
 	start := time.Now()
 	s.setBackend(j, j.idealBackend)
 	entry, hit, err := s.templateEntryFor(j, j.req.Params)
@@ -233,11 +230,12 @@ func (s *Service) executeParamRun(j *job, spec core.ReadoutSpec) (*Result, error
 		Waited:   j.started.Sub(j.submitted),
 	}
 	j.trace.Begin(stageSample)
+	spec := j.req.Readouts
+	var sampler *sv.Sampler
 	if spec.Shots > 0 {
-		legacyProject(res, core.EvaluateState(entry.state, entry.getSampler(), spec))
-	} else {
-		legacyProject(res, core.EvaluateState(entry.state, nil, spec))
+		sampler = entry.getSampler()
 	}
+	res.setReadouts(core.EvaluateState(entry.state, sampler, spec))
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
@@ -305,7 +303,7 @@ func (s *Service) executeSweep(j *job) (*Result, error) {
 		// applied at sampling, mirroring the concrete-circuit fast path.
 	}
 
-	tpl, hit, err := s.templateFor(req.Circuit, req.Options)
+	tpl, hit, err := s.templateFor(j)
 	if err != nil {
 		return nil, err
 	}

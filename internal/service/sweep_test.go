@@ -111,10 +111,17 @@ func TestSweepBindingErrorsNameSymbol(t *testing.T) {
 			Params: map[string]float64{"gamma0": 1}}, "beta0"},
 		{"run-unknown", Request{Circuit: circuit.MustNamed("ising", 3), Kind: KindRun, Readouts: spec,
 			Params: map[string]float64{"theta": 1}}, "theta"},
-		{"legacy-parametric", Request{Circuit: c, Kind: KindStatevector}, "unbound symbol"},
 		{"optimize-unknown-init", Request{Circuit: c, Kind: KindOptimize,
 			Optimize: &core.OptimizeSpec{Observables: []core.Observable{{Paulis: "Z", Qubits: []int{0}}},
 				Init: map[string]float64{"omega": 1}}}, "omega"},
+		{"optimize-noise-qubit", Request{Circuit: c, Kind: KindOptimize,
+			Noise:    &noise.Model{Rules: []noise.Rule{{Channel: noise.Depolarizing(0.01), Qubits: []int{7}}}},
+			Optimize: &core.OptimizeSpec{Observables: []core.Observable{{Paulis: "Z", Qubits: []int{0}}}}},
+			"qubit 7 out of range"},
+		{"optimize-noise-p", Request{Circuit: c, Kind: KindOptimize,
+			Noise:    noise.Global(noise.Depolarizing(1.7)),
+			Optimize: &core.OptimizeSpec{Observables: []core.Observable{{Paulis: "Z", Qubits: []int{0}}}}},
+			"1.7 out of [0,1]"},
 		{"sweep-nonflat", Request{Circuit: c, Kind: KindSweep, Readouts: spec,
 			Options: Requests("hier"),
 			Sweep:   &SweepSpec{Bindings: []map[string]float64{{"gamma0": 1, "beta0": 1}}}}, "flat template engine"},
@@ -273,32 +280,6 @@ func TestOptimizeJob(t *testing.T) {
 	}
 	if st := s.Stats(); st.TemplateCompiles != 1 {
 		t.Fatalf("template_compiles = %d", st.TemplateCompiles)
-	}
-}
-
-// TestShimHitCounting: deprecated kinds bump shim_hits; v2/v3 kinds don't.
-func TestShimHitCounting(t *testing.T) {
-	s := newTest(t, Config{Workers: 1})
-	c := circuit.MustNamed("ising", 4)
-	for _, req := range []Request{
-		{Circuit: c, Kind: KindStatevector},
-		{Circuit: c, Kind: KindSample, Shots: 16},
-		{Circuit: c, Kind: KindExpectation, Qubits: []int{0}},
-		{Circuit: c, Kind: KindProbabilities, Qubits: []int{0}},
-	} {
-		if _, err := s.Do(context.Background(), req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := s.Stats(); st.ShimHits != 4 {
-		t.Fatalf("shim_hits = %d, want 4", st.ShimHits)
-	}
-	if _, err := s.Do(context.Background(), Request{Circuit: c, Kind: KindRun,
-		Readouts: core.ReadoutSpec{Shots: 16}}); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.ShimHits != 4 {
-		t.Fatalf("shim_hits after KindRun = %d, want still 4", st.ShimHits)
 	}
 }
 

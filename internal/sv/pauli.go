@@ -43,7 +43,7 @@ func (p PauliString) Coefficient() float64 {
 
 // Validate checks the string against an n-qubit register: matching
 // lengths, known letters, in-range qubits. A qubit may repeat only when
-// every occurrence is 'Z' (Z² = I, the legacy Z-string XOR semantics);
+// every occurrence is 'Z' (Z² = I, the Z-string XOR semantics);
 // repeats under X or Y would silently collapse to phases, so they are
 // rejected.
 func (p PauliString) Validate(n int) error {
@@ -161,8 +161,8 @@ func (s *State) ExpectationPauli(ops string, qubits []int) float64 {
 }
 
 // ExpectationPauliString returns Coeff·⟨∏ σ⟩ without mutating or copying
-// the state. Z-only strings delegate to ExpectationPauliZString, keeping
-// them bit-identical with the legacy Z-string read-out.
+// the state. Z-only strings delegate to ExpectationPauliZString, so a
+// unit-weight Z string is bit-identical with that kernel.
 func (s *State) ExpectationPauliString(p PauliString) float64 {
 	if len(p.Ops) != len(p.Qubits) {
 		panic(fmt.Sprintf("sv: pauli string %q has %d ops for %d qubits", p.Ops, len(p.Ops), len(p.Qubits)))
@@ -174,8 +174,7 @@ func (s *State) ExpectationPauliString(p PauliString) float64 {
 	}
 	flip, sign, numY := p.Masks()
 	if flip == 0 {
-		// Z/I only: the established XOR-mask kernel (bit-identical with the
-		// legacy read-out path).
+		// Z/I only: the established XOR-mask kernel.
 		var zq []int
 		for k, q := range p.Qubits {
 			if upperPauli(p.Ops[k]) == 'Z' {

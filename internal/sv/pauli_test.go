@@ -40,8 +40,8 @@ func TestExpectationPauliMatchesBasisChange(t *testing.T) {
 	}
 }
 
-// TestExpectationPauliZOnlyDelegates pins the Z-only path to the legacy
-// kernel bit-for-bit (the service shims rely on this).
+// TestExpectationPauliZOnlyDelegates pins the Z-only path to the Z-string
+// kernel bit-for-bit (the noise and dm analytic-decay tests rely on this).
 func TestExpectationPauliZOnlyDelegates(t *testing.T) {
 	st := randomState(7, 7)
 	for _, qs := range [][]int{{0}, {1, 4}, {2, 2, 5}, {}} {
