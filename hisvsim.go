@@ -444,8 +444,9 @@ func QAOAAnsatz(n, layers int) *Circuit { return circuit.QAOAAnsatz(n, layers) }
 type SweepPoint = core.SweepPoint
 
 // SweepReport aggregates a sweep: per-point read-outs plus the evidence
-// that the template amortized (Compiles == 1 regardless of point count,
-// symbol-touched vs shared fused blocks).
+// that the template amortized (Compiles counts the plan compiles the sweep
+// caused: 1 for Sweep whatever the point count, 0 for a service sweep on a
+// warm plan cache; symbol-touched vs shared fused blocks of that plan).
 type SweepReport = core.SweepReport
 
 // OptimizeSpec configures a server-side variational optimization: the

@@ -202,6 +202,15 @@ func TestClusterSweepBitIdentical(t *testing.T) {
 
 	wantSweep := want["sweep"].(map[string]any)
 	gotSweep := got["sweep"].(map[string]any)
+	// The block ledger is per binding: a split must not multiply it.
+	if tb, _ := wantSweep["touched_blocks"].(float64); tb <= 0 {
+		t.Fatalf("single-node sweep reports touched_blocks %v, want > 0", wantSweep["touched_blocks"])
+	}
+	for _, k := range []string{"touched_blocks", "shared_blocks"} {
+		if gotSweep[k] != wantSweep[k] {
+			t.Fatalf("%s: cluster %v, single node %v", k, gotSweep[k], wantSweep[k])
+		}
+	}
 	wantPoints := wantSweep["points"].([]any)
 	gotPoints := gotSweep["points"].([]any)
 	if len(gotPoints) != len(wantPoints) {

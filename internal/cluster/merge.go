@@ -161,9 +161,10 @@ func mergeEnsemble(subs []*subjob) (json.RawMessage, error) {
 	return json.Marshal(out)
 }
 
-// mergeSweep concatenates per-point payloads in grid order and sums the
-// compile-amortization ledger. Summed compiles honestly report that each
-// worker compiled the template once — the price of the fan-out.
+// mergeSweep concatenates per-point payloads in grid order. Summed
+// compiles honestly report that each worker compiled the template once —
+// the price of the fan-out. The block ledger is per binding, identical in
+// every sub-result, so it is taken from the first.
 func mergeSweep(subs []*subjob) (json.RawMessage, error) {
 	out := &mergedResult{Sweep: &mergedSweepResult{Points: []json.RawMessage{}}, CacheHit: true}
 	for i, s := range subs {
@@ -177,6 +178,7 @@ func mergeSweep(subs []*subjob) (json.RawMessage, error) {
 		if i == 0 {
 			out.Kind, out.NumQubits, out.Backend = r.Kind, r.NumQubits, r.Backend
 			out.Sweep.Trajectories = r.Sweep.Trajectories
+			out.Sweep.TouchedBlocks, out.Sweep.SharedBlocks = r.Sweep.TouchedBlocks, r.Sweep.SharedBlocks
 		}
 		out.CacheHit = out.CacheHit && r.CacheHit
 		out.Trajectories += r.Trajectories
@@ -190,8 +192,6 @@ func mergeSweep(subs []*subjob) (json.RawMessage, error) {
 			out.WaitedMS = r.WaitedMS
 		}
 		out.Sweep.Compiles += r.Sweep.Compiles
-		out.Sweep.TouchedBlocks += r.Sweep.TouchedBlocks
-		out.Sweep.SharedBlocks += r.Sweep.SharedBlocks
 		out.Sweep.Points = append(out.Sweep.Points, r.Sweep.Points...)
 	}
 	return json.Marshal(out)

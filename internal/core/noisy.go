@@ -52,10 +52,7 @@ func SimulateNoisyContext(ctx context.Context, c *circuit.Circuit, opts Options,
 	if caps.Noise == backend.NoiseExact && !opts.Noise.IsZero() {
 		return nil, fmt.Errorf("core: backend %q computes exact noisy read-outs, not trajectory ensembles; use Evaluate", opts.Backend)
 	}
-	model := opts.Noise
-	plan, err := noise.Compile(c, model, noise.CompileOptions{
-		Fuse: !opts.NoFuse, MaxFuseQubits: opts.MaxFuseQubits,
-	})
+	plan, err := compilePlan(c, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
 	"hisvsim/internal/circuit"
-	"hisvsim/internal/noise"
 )
 
 // This file is the v3 optimize surface: a server-side variational loop
@@ -116,50 +116,59 @@ func Optimize(c *circuit.Circuit, opts Options, spec OptimizeSpec) (*OptimizeRep
 // the template compiled once up front.
 type objectiveFn func(env map[string]float64) (float64, error)
 
-// OptimizeContext minimizes the spec's observable sum over the circuit's
-// symbols with a server-side SPSA or Nelder-Mead loop. The template — ideal
-// fused plan or trajectory-noise plan — compiles exactly once; every
-// objective evaluation re-binds it. Noisy objectives are trajectory means
-// (same seed every evaluation: common random numbers, so the optimizer sees
-// a consistent noisy landscape rather than fresh sampling jitter per step).
-func OptimizeContext(ctx context.Context, c *circuit.Circuit, opts Options, spec OptimizeSpec) (*OptimizeReport, error) {
-	start := time.Now()
-	spec = spec.withDefaults()
-	if spec.Method != MethodSPSA && spec.Method != MethodNelderMead {
-		return nil, fmt.Errorf("core: unknown optimizer %q (have %q, %q)", spec.Method, MethodSPSA, MethodNelderMead)
+// Validate checks the spec against the circuit it optimizes: a known
+// method, a non-empty well-formed objective, and an Init that binds only
+// real symbols to finite values. Errors name the offending symbol.
+func (s OptimizeSpec) Validate(c *circuit.Circuit) error {
+	if s.Method != "" && s.Method != MethodSPSA && s.Method != MethodNelderMead {
+		return fmt.Errorf("core: unknown optimizer %q (have %q, %q)", s.Method, MethodSPSA, MethodNelderMead)
 	}
-	if len(spec.Observables) == 0 {
-		return nil, fmt.Errorf("core: optimize needs at least one observable (the objective is their weighted sum)")
+	if len(s.Observables) == 0 {
+		return fmt.Errorf("core: optimize needs at least one observable (the objective is their weighted sum)")
 	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if err := validateSweep(c, opts, nil); err != nil {
-		return nil, err
+	if err := s.readoutSpec().Validate(c.NumQubits); err != nil {
+		return err
 	}
 	syms := c.Symbols()
 	if len(syms) == 0 {
-		return nil, fmt.Errorf("core: circuit %s has no symbols to optimize", c.Name)
+		return fmt.Errorf("core: circuit %s has no symbols to optimize", c.Name)
 	}
-	for k := range spec.Init {
-		found := false
-		for _, s := range syms {
-			if s == k {
-				found = true
-				break
-			}
+	for k, v := range s.Init {
+		if !slices.Contains(syms, k) {
+			return fmt.Errorf("core: init binds unknown symbol %q", k)
 		}
-		if !found {
-			return nil, fmt.Errorf("core: init binds unknown symbol %q", k)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: non-finite init value %v for symbol %q", v, k)
 		}
 	}
-	roSpec := ReadoutSpec{Observables: spec.Observables, Seed: spec.Seed, Trajectories: spec.Trajectories}
-	if err := roSpec.Validate(c.NumQubits); err != nil {
+	return nil
+}
+
+// readoutSpec is the objective as a read-out spec: the observables, read
+// under the spec's seed and ensemble size.
+func (s OptimizeSpec) readoutSpec() ReadoutSpec {
+	return ReadoutSpec{Observables: s.Observables, Seed: s.Seed, Trajectories: s.Trajectories}
+}
+
+// OptimizeContext minimizes the spec's observable sum over the circuit's
+// symbols with a server-side SPSA or Nelder-Mead loop. The template plan
+// compiles exactly once; every objective evaluation re-binds it through
+// EvaluateBinding. Noisy objectives are trajectory means (same seed every
+// evaluation: common random numbers, so the optimizer sees a consistent
+// noisy landscape rather than fresh sampling jitter per step).
+func OptimizeContext(ctx context.Context, c *circuit.Circuit, opts Options, spec OptimizeSpec) (*OptimizeReport, error) {
+	start := time.Now()
+	if err := validateSweep(c, opts, nil); err != nil {
 		return nil, err
 	}
+	if err := spec.Validate(c); err != nil {
+		return nil, err
+	}
+	spec = spec.withDefaults()
+	syms := c.Symbols()
 
 	rep := &OptimizeReport{Compiles: 1, Method: spec.Method}
-	objective, err := buildObjective(ctx, c, opts, roSpec, rep)
+	objective, err := buildObjective(ctx, c, opts, spec.readoutSpec(), rep)
 	if err != nil {
 		return nil, err
 	}
@@ -203,50 +212,25 @@ func OptimizeContext(ctx context.Context, c *circuit.Circuit, opts Options, spec
 	return rep, nil
 }
 
-// buildObjective compiles the template once and returns the evaluator.
+// buildObjective compiles the template plan once and returns the
+// evaluator: one EvaluateBinding per call, its observable values summed.
 func buildObjective(ctx context.Context, c *circuit.Circuit, opts Options, roSpec ReadoutSpec, rep *OptimizeReport) (objectiveFn, error) {
-	sum := func(ro *Readouts) float64 {
+	plan, err := compilePlan(c, opts)
+	if err != nil {
+		return nil, err
+	}
+	effective := !opts.Noise.IsZero()
+	return func(env map[string]float64) (float64, error) {
+		ro, err := EvaluateBinding(ctx, plan, env, roSpec, opts.Workers, effective)
+		if err != nil {
+			return 0, err
+		}
+		rep.Trajectories = ro.Trajectories
 		t := 0.0
 		for _, ov := range ro.Observables {
 			t += ov.Value
 		}
-		return t
-	}
-	if !opts.Noise.IsZero() {
-		plan, err := noise.Compile(c, opts.Noise, noise.CompileOptions{Fuse: !opts.NoFuse, MaxFuseQubits: opts.MaxFuseQubits})
-		if err != nil {
-			return nil, err
-		}
-		cfg := roSpec.NoisyRunConfig(opts.Workers)
-		if !plan.NoiseFree() {
-			return func(env map[string]float64) (float64, error) {
-				sp, err := plan.Specialize(env)
-				if err != nil {
-					return 0, err
-				}
-				ens, err := noise.RunEnsemble(ctx, sp, cfg)
-				if err != nil {
-					return 0, err
-				}
-				rep.Trajectories = ens.Trajectories
-				return sum(ReadoutsFromEnsemble(ens, roSpec)), nil
-			}, nil
-		}
-		// Zero-effect model: fall through to the ideal template (readout
-		// error never perturbs observables — they measure the state, not
-		// sampled bits).
-	}
-	tpl, err := compileTemplate(c, opts)
-	if err != nil {
-		return nil, err
-	}
-	workers := opts.Workers
-	return func(env map[string]float64) (float64, error) {
-		st, err := tpl.Run(env, workers)
-		if err != nil {
-			return 0, err
-		}
-		return sum(EvaluateState(st, nil, roSpec)), nil
+		return t, nil
 	}, nil
 }
 

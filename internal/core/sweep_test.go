@@ -1,13 +1,14 @@
 package core
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"hisvsim/internal/backend"
 	"hisvsim/internal/circuit"
-	"hisvsim/internal/fuse"
 	"hisvsim/internal/noise"
 )
 
@@ -26,12 +27,12 @@ func qaoaEnvs(c *circuit.Circuit, k int) []map[string]float64 {
 }
 
 // TestTemplateMatchesConcreteAcrossBackends is the differential acceptance
-// gate: a template compiled ONCE and specialized per binding must agree
+// gate: a template compiled ONCE and evaluated per binding must agree
 // with one-off concrete simulations of the bound circuit on every
 // registered state-vector backend to 1e-9.
 func TestTemplateMatchesConcreteAcrossBackends(t *testing.T) {
 	c := circuit.QAOAAnsatz(4, 2)
-	tpl, err := fuse.Compile(c.Gates, c.NumQubits, true, fuse.Options{})
+	tpl, err := noise.Compile(c, nil, noise.CompileOptions{Fuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,10 +40,11 @@ func TestTemplateMatchesConcreteAcrossBackends(t *testing.T) {
 		t.Fatal("template reports no symbol-touched blocks")
 	}
 	for _, env := range qaoaEnvs(c, 3) {
-		st, err := tpl.Run(env, 0)
+		ro, err := EvaluateBinding(context.Background(), tpl, env, ReadoutSpec{Statevector: true}, 0, false)
 		if err != nil {
 			t.Fatal(err)
 		}
+		amps := ro.Amplitudes
 		bound, err := c.Bind(env)
 		if err != nil {
 			t.Fatal(err)
@@ -64,10 +66,10 @@ func TestTemplateMatchesConcreteAcrossBackends(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			for i := range st.Amps {
-				if d := cmplxAbs(st.Amps[i] - res.State.Amps[i]); d > 1e-9 {
+			for i := range amps {
+				if d := cmplxAbs(amps[i] - res.State.Amps[i]); d > 1e-9 {
 					t.Fatalf("%s env %v amp %d: template %v vs concrete %v (|Δ|=%g)",
-						name, env, i, st.Amps[i], res.State.Amps[i], d)
+						name, env, i, amps[i], res.State.Amps[i], d)
 				}
 			}
 		}
@@ -280,23 +282,97 @@ func TestOptimizeFindsIsingGroundDirection(t *testing.T) {
 	}
 }
 
-// TestOptimizeValidation covers the submit-time failure modes.
-func TestOptimizeValidation(t *testing.T) {
-	c := circuit.QAOAAnsatz(3, 1)
-	obs := []Observable{{Paulis: "Z", Qubits: []int{0}}}
-	if _, err := Optimize(c, Options{}, OptimizeSpec{Observables: obs, Method: "newton"}); err == nil {
-		t.Fatal("unknown method accepted")
+func contains(s, sub string) bool { return strings.Contains(s, sub) }
+
+// TestSweepLedgerEveryModel: whatever route a binding takes — ideal,
+// readout error only, channels on every gate, or an effective rule that
+// matches no gate of the ansatz — a sweep compiles one plan and reports
+// that plan's block ledger, and every point equals an independent flat
+// evaluation of the bound circuit.
+func TestSweepLedgerEveryModel(t *testing.T) {
+	c := circuit.QAOAAnsatz(4, 1)
+	spec := ReadoutSpec{
+		Shots: 64, Seed: 13, Trajectories: 24,
+		Observables: []Observable{{Paulis: "ZZ", Qubits: []int{0, 1}}},
 	}
-	if _, err := Optimize(c, Options{}, OptimizeSpec{}); err == nil {
-		t.Fatal("empty objective accepted")
+	bindings := qaoaEnvs(c, 3)
+	models := []struct {
+		name  string
+		model *noise.Model
+	}{
+		{"ideal", nil},
+		{"readout-only", noise.NewModel().WithReadout(0.02, 0.01)},
+		{"depolarizing", noise.Global(noise.Depolarizing(0.01))},
+		{"absent-gate", noise.OnGates(noise.Depolarizing(0.01), "cz")},
 	}
-	if _, err := Optimize(c, Options{}, OptimizeSpec{Observables: obs, Init: map[string]float64{"nope": 1}}); err == nil || !contains(err.Error(), "nope") {
-		t.Fatalf("unknown init symbol not named: %v", err)
-	}
-	concrete := circuit.MustNamed("ising", 3)
-	if _, err := Optimize(concrete, Options{}, OptimizeSpec{Observables: obs}); err == nil {
-		t.Fatal("symbol-free circuit accepted")
+	for _, tc := range models {
+		opts := Options{Noise: tc.model, Workers: 1}
+		rep, err := Sweep(c, opts, spec, bindings)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		plan, err := noise.Compile(c, tc.model, noise.CompileOptions{Fuse: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Compiles != 1 || rep.TouchedBlocks <= 0 || rep.TouchedBlocks+rep.SharedBlocks != plan.Blocks() {
+			t.Fatalf("%s: compiles=%d touched=%d shared=%d, want 1, >0, sum %d",
+				tc.name, rep.Compiles, rep.TouchedBlocks, rep.SharedBlocks, plan.Blocks())
+		}
+		for i, p := range rep.Points {
+			bound, err := c.Bind(bindings[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Evaluate(bound, Options{Noise: tc.model, Backend: "flat", Workers: 1}, spec)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if math.Abs(p.Readouts.Observables[0].Value-want.Observables[0].Value) > 1e-9 {
+				t.Fatalf("%s point %d: ⟨ZZ⟩ %v vs concrete %v", tc.name, i, p.Readouts.Observables[0].Value, want.Observables[0].Value)
+			}
+			if !reflect.DeepEqual(p.Readouts.Counts, want.Counts) {
+				t.Fatalf("%s point %d: counts %v vs concrete %v", tc.name, i, p.Readouts.Counts, want.Counts)
+			}
+		}
 	}
 }
 
-func contains(s, sub string) bool { return strings.Contains(s, sub) }
+// TestOptimizeValidation covers the submit-time failure modes: every
+// malformed spec fails OptimizeSpec.Validate naming the problem, and
+// Optimize reports the same error before compiling anything.
+func TestOptimizeValidation(t *testing.T) {
+	c := circuit.QAOAAnsatz(3, 1)
+	obs := []Observable{{Paulis: "Z", Qubits: []int{0}}}
+	cases := []struct {
+		name string
+		spec OptimizeSpec
+		c    *circuit.Circuit
+		want string
+	}{
+		{"ok", OptimizeSpec{Observables: obs, Init: map[string]float64{"gamma0": 0.3}}, c, ""},
+		{"method", OptimizeSpec{Observables: obs, Method: "newton"}, c, "unknown optimizer"},
+		{"no-observables", OptimizeSpec{}, c, "at least one observable"},
+		{"observable-qubit", OptimizeSpec{Observables: []Observable{{Paulis: "Z", Qubits: []int{5}}}}, c, "observable 0"},
+		{"negative-trajectories", OptimizeSpec{Observables: obs, Trajectories: -1}, c, "negative trajectory count"},
+		{"no-symbols", OptimizeSpec{Observables: obs}, circuit.MustNamed("ising", 3), "no symbols"},
+		{"unknown-init", OptimizeSpec{Observables: obs, Init: map[string]float64{"nope": 1}}, c, `"nope"`},
+		{"nan-init", OptimizeSpec{Observables: obs, Init: map[string]float64{"gamma0": math.NaN()}}, c, `non-finite init value NaN for symbol "gamma0"`},
+		{"inf-init", OptimizeSpec{Observables: obs, Init: map[string]float64{"beta0": math.Inf(-1)}}, c, `symbol "beta0"`},
+	}
+	for _, tc := range cases {
+		err := tc.spec.Validate(tc.c)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: unexpected error %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
+		}
+		if _, oerr := Optimize(tc.c, Options{}, tc.spec); oerr == nil || oerr.Error() != err.Error() {
+			t.Errorf("%s: Optimize err = %v, want %v", tc.name, oerr, err)
+		}
+	}
+}

@@ -18,6 +18,7 @@ import (
 	"hisvsim/internal/circuit"
 	"hisvsim/internal/core"
 	"hisvsim/internal/fuse"
+	"hisvsim/internal/sv"
 )
 
 // SweepConfig scales the sweep benchmark.
@@ -144,8 +145,8 @@ func SweepBench(cfg SweepConfig) (*SweepReport, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sweep bench: %w", err)
 			}
-			st, err := tb.Run(nil, 0)
-			if err != nil {
+			st := sv.NewState(bound.NumQubits)
+			if err := tb.Apply(st); err != nil {
 				return nil, fmt.Errorf("sweep bench: %w", err)
 			}
 			core.EvaluateState(st, nil, spec)

@@ -138,23 +138,6 @@ func (p *Program) Apply(st *sv.State) error {
 	return nil
 }
 
-// Run specializes the program for env and applies it to a fresh |0…0⟩
-// state with the given worker bound, returning the final state.
-func (p *Program) Run(env map[string]float64, workers int) (*sv.State, error) {
-	sp, err := p.Specialize(env)
-	if err != nil {
-		return nil, err
-	}
-	st := sv.NewState(p.N)
-	if workers > 0 {
-		st.Workers = workers
-	}
-	if err := sp.Apply(st); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
 // MemoryBytes estimates the program's resident size for cache budgeting:
 // fused matrices and diagonals, source gates, and scatter-offset tables.
 func (p *Program) MemoryBytes() int64 {

@@ -4,24 +4,31 @@ import (
 	"fmt"
 )
 
-// Trajectory plans compiled from a parameterized circuit specialize the
-// same way ideal fused templates do: channel insertion points depend only
-// on gate names and qubits, so the step structure, fused-block boundaries
-// and kernel plans of the placeholder compile are correct for every
-// binding — only the numeric payloads of symbol-touched gate runs need
-// rebinding. That makes noisy sweeps one Compile plus cheap Specialize
-// calls per grid point, exactly mirroring fuse.Program.
+// A plan compiled from a parameterized circuit is a template: channel
+// insertion points depend only on gate names and qubits, so the step
+// structure, fused-block boundaries and kernel plans of the placeholder
+// compile are correct for every binding — only the numeric payloads of
+// symbol-touched gate runs need rebinding (fuse.Program.Specialize). That
+// makes a sweep one Compile plus cheap Specialize calls per grid point. A
+// plan compiled without a noise model is a single gate-run step, so it is
+// the ideal template as well.
 
-// Parametric reports whether any gate run of the plan carries a symbolic
-// parameter (channel steps never do).
-func (p *Plan) Parametric() bool {
+// TouchedBlocks returns how many fused blocks a binding rebuilds, summed
+// over the plan's gate runs (channel steps never carry symbols); the other
+// Blocks() - TouchedBlocks() are shared read-only across bindings.
+func (p *Plan) TouchedBlocks() int {
+	n := 0
 	for i := range p.steps {
-		if s := &p.steps[i]; s.prog != nil && s.prog.TouchedBlocks() > 0 {
-			return true
+		if s := &p.steps[i]; s.prog != nil {
+			n += s.prog.TouchedBlocks()
 		}
 	}
-	return false
+	return n
 }
+
+// Parametric reports whether any gate run of the plan carries a symbolic
+// parameter.
+func (p *Plan) Parametric() bool { return p.TouchedBlocks() > 0 }
 
 // Specialize returns a concrete plan for one binding: a shallow copy whose
 // symbol-touched gate runs are specialized (fuse.Program.Specialize) and

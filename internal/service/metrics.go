@@ -20,9 +20,9 @@ const Version = "1.0.0"
 // content-addressed caches.
 
 // Cache label values. The plan/state LRU holds both simulated states
-// ("state") and evolved density matrices ("rho", keyed dm|…); compiled
-// trajectory plans and fused templates share the dedicated plan LRU
-// ("plan").
+// ("state", bound template states keyed tplrun|…) and evolved density
+// matrices ("rho", keyed dm|…); compiled trajectory plans, templates
+// included, live in the dedicated plan LRU ("plan").
 const (
 	cacheState = "state"
 	cachePlan  = "plan"
@@ -123,7 +123,7 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 	m.trajectories = reg.Counter("hisvsim_trajectories_total",
 		"Stochastic trajectories executed across all noisy ensembles.")
 	m.templateCompiles = reg.Counter("hisvsim_template_compiles_total",
-		"Parameterized-template fusion compiles (the sweep amortization ledger).")
+		"Plan compiles of parameterized circuits (the sweep amortization ledger).")
 	m.backendJobs = reg.CounterVec("hisvsim_backend_jobs_total",
 		"Executed jobs per engine (registry names plus \"trajectory\").", "backend")
 	m.cacheHits = reg.CounterVec("hisvsim_cache_hits_total",

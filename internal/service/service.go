@@ -67,8 +67,8 @@ const (
 	// KindSweep is the v3 grid kind: one parameterized circuit template,
 	// one ReadoutSpec, and a binding grid (Request.Sweep). The template
 	// compiles ONCE (asserted by Stats.TemplateCompiles) and every grid
-	// point re-binds the compiled plan, so M bindings cost one fusion
-	// compile plus M cheap runs. Results are keyed per grid point.
+	// point re-binds the cached plan, so M bindings cost one plan compile
+	// plus M cheap runs. Results are keyed per grid point.
 	KindSweep Kind = "sweep"
 
 	// KindOptimize is the v3 variational kind: a server-side SPSA or
@@ -366,9 +366,9 @@ type Stats struct {
 	Trajectories int64 `json:"trajectories"` // stochastic trajectories executed
 	CacheHits    int64 `json:"cache_hits"`
 	CacheMisses  int64 `json:"cache_misses"`
-	// TemplateCompiles counts parameterized-template fusion compiles. This
+	// TemplateCompiles counts plan compiles of parameterized circuits. This
 	// is the compile-amortization scoreboard: a sweep of M bindings over a
-	// cold template bumps it by exactly 1.
+	// cold (template, noise model, fusion options) bumps it by exactly 1.
 	TemplateCompiles int64 `json:"template_compiles"`
 
 	CacheEntries int   `json:"cache_entries"`
@@ -501,7 +501,7 @@ func (e *cacheEntry) cost() int64 {
 }
 
 // costed is a cacheable single-flight payload: a simulated state, an
-// evolved ρ, a compiled trajectory plan or a compiled template.
+// evolved ρ, or a compiled trajectory plan (the template form too).
 type costed interface{ cost() int64 }
 
 // cacheItem is what both LRUs store: the payload plus the cache label its
@@ -1100,12 +1100,6 @@ func (s *Service) execute(j *job) (*Result, error) {
 	if !j.req.Noise.IsZero() {
 		return s.executeNoisy(j)
 	}
-	if j.req.Circuit.Parametric() {
-		// Bound template run (KindRun + Params on the flat engine): the
-		// compiled template is shared across bindings; only the bound
-		// state is per-binding (keyed by the binding digest).
-		return s.executeParamRun(j)
-	}
 	spec := j.req.Readouts
 	s.setBackend(j, j.idealBackend)
 	start := time.Now()
@@ -1130,9 +1124,35 @@ func (s *Service) execute(j *job) (*Result, error) {
 
 // entryFor returns the cached simulation for the job's (circuit, options)
 // key, running it via single-flight on a miss. The returned hit flag is
-// true when no simulation ran on behalf of this job.
+// true when no simulation ran on behalf of this job. A parameterized
+// circuit (KindRun + Params on the flat engine) resolves to its bound
+// state: the template plan compiles once per fingerprint and the state
+// once per binding digest, so repeats of one bound run cost sampling only.
 func (s *Service) entryFor(j *job) (*cacheEntry, bool, error) {
-	return s.entryForCircuit(j, j.req.Circuit)
+	c, o := j.req.Circuit, j.req.Options
+	if !c.Parametric() {
+		return s.entryForCircuit(j, c)
+	}
+	key := fmt.Sprintf("tplrun|%s|%s|f=%t mf=%d w=%d",
+		c.Fingerprint(), circuit.BindingDigest(j.req.Params), !o.NoFuse, o.MaxFuseQubits, o.Workers)
+	v, hit, err := s.cachedCompute(j, s.cache, cacheState, key, func() (costed, error) {
+		j.trace.Begin(stageCompile)
+		plan, _, err := s.noisePlanFor(j)
+		if err != nil {
+			return nil, err
+		}
+		s.m.simulations.Inc()
+		j.trace.Begin(stageSimulate)
+		st, err := core.BindState(plan, j.req.Params, o.Workers)
+		if err != nil {
+			return nil, err
+		}
+		return &cacheEntry{state: st}, nil
+	})
+	if err != nil {
+		return nil, hit, err
+	}
+	return v.(*cacheEntry), hit, nil
 }
 
 // entryForCircuit is entryFor over an explicit circuit: the noisy path
@@ -1368,13 +1388,18 @@ func (e *noisePlanEntry) cost() int64 { return e.plan.MemoryBytes() }
 
 // noisePlanFor returns the compiled trajectory plan for the job's
 // (circuit, noise, fusion) key, compiling on miss (single-flighted like
-// entryFor, so a burst of cold requests compiles once). Plans live in
+// entryFor, so a burst of cold requests compiles once). A parameterized
+// circuit's plan is its one cached template, for ideal and noisy jobs
+// alike; its real compiles bump Stats.TemplateCompiles. Plans live in
 // their own small LRU (Config.PlanCacheBytes), not the plan/state cache:
 // they are a few KiB but hot, and sharing a budget with 2^n-amplitude
 // states let one burst of statevector jobs evict every compiled plan.
 func (s *Service) noisePlanFor(j *job) (*noise.Plan, bool, error) {
 	key := noisePlanKey(j.req.Circuit, j.req.Options, j.req.Noise)
 	v, hit, err := s.cachedCompute(j, s.planCache, cachePlan, key, func() (costed, error) {
+		if j.req.Circuit.Parametric() {
+			s.m.templateCompiles.Inc()
+		}
 		plan, err := noise.Compile(j.req.Circuit, j.req.Noise, noise.CompileOptions{
 			Fuse: !j.req.Options.NoFuse, MaxFuseQubits: j.req.Options.MaxFuseQubits,
 		})

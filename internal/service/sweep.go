@@ -6,17 +6,15 @@ import (
 	"sort"
 	"time"
 
-	"hisvsim/internal/circuit"
 	"hisvsim/internal/core"
-	"hisvsim/internal/fuse"
-	"hisvsim/internal/noise"
-	"hisvsim/internal/sv"
 )
 
 // This file is the service half of the v3 template surface: binding-grid
-// expansion (SweepSpec), the template-fingerprint-keyed compile cache that
-// makes "M bindings = 1 fusion compile" hold ACROSS jobs as well as within
-// one, and the executors for KindSweep, KindOptimize and bound KindRun.
+// expansion (SweepSpec) and the executors for KindSweep and KindOptimize.
+// Every template job replays one cached noise.Plan per (template, noise
+// model, fusion options), keyed on the template fingerprint, so "M bindings
+// = 1 compile" holds ACROSS jobs as well as within one; bound KindRun jobs
+// share that plan through entryFor.
 
 // SweepSpec names a sweep job's binding grid. Exactly one of Bindings or
 // Grid must be set.
@@ -112,42 +110,16 @@ func (sp *SweepSpec) Expand(limit int) ([]map[string]float64, error) {
 	}
 }
 
-// validateOptimize checks a KindOptimize request at submit: known method,
-// a well-formed objective, a complete-and-known Init, and bounded work —
-// all the failures a worker could hit become 400s naming the problem.
+// validateOptimize checks a KindOptimize request at submit: the spec
+// itself (core.OptimizeSpec.Validate) plus this service's work limits, so
+// every failure a worker could hit becomes a 400 naming the problem.
 func (s *Service) validateOptimize(req Request) error {
-	spec := *req.Optimize
-	if spec.Method != "" && spec.Method != core.MethodSPSA && spec.Method != core.MethodNelderMead {
-		return fmt.Errorf("service: unknown optimizer %q (have %q, %q)", spec.Method, core.MethodSPSA, core.MethodNelderMead)
-	}
-	if len(spec.Observables) == 0 {
-		return fmt.Errorf("service: optimize needs at least one observable (the objective is their weighted sum)")
-	}
-	roSpec := core.ReadoutSpec{Observables: spec.Observables}
-	if err := roSpec.Validate(req.Circuit.NumQubits); err != nil {
+	spec := req.Optimize
+	if err := spec.Validate(req.Circuit); err != nil {
 		return fmt.Errorf("service: %w", err)
-	}
-	syms := req.Circuit.Symbols()
-	for k, v := range spec.Init {
-		known := false
-		for _, s := range syms {
-			if s == k {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return fmt.Errorf("service: init binds unknown symbol %q", k)
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("service: non-finite init value %v for symbol %q", v, k)
-		}
 	}
 	if spec.MaxIters > s.cfg.MaxOptimizeIters {
 		return fmt.Errorf("service: %d iterations exceeds limit %d", spec.MaxIters, s.cfg.MaxOptimizeIters)
-	}
-	if spec.Trajectories < 0 {
-		return fmt.Errorf("service: negative trajectory count %d", spec.Trajectories)
 	}
 	if spec.Trajectories > s.cfg.MaxTrajectories {
 		return fmt.Errorf("service: %d trajectories exceeds limit %d", spec.Trajectories, s.cfg.MaxTrajectories)
@@ -155,200 +127,49 @@ func (s *Service) validateOptimize(req Request) error {
 	return nil
 }
 
-// templateEntry wraps a compiled template program for the plan LRU.
-type templateEntry struct {
-	tpl *fuse.Program
-}
-
-func (e *templateEntry) cost() int64 { return e.tpl.MemoryBytes() }
-
-// templateFor returns the compiled template for the circuit's TEMPLATE
-// fingerprint (structure + symbol names, not binding values), compiling on
-// miss. Templates live beside trajectory plans in the dedicated plan LRU:
-// they are small, hot, and must survive bursts of giant state entries.
-// Every real compile bumps Stats.TemplateCompiles — the counter the sweep
-// acceptance gate watches — and concurrent misses compile once.
-func (s *Service) templateFor(j *job) (*fuse.Program, bool, error) {
-	c, o := j.req.Circuit, j.req.Options
-	key := fmt.Sprintf("tpl|%s|f=%t mf=%d", c.Fingerprint(), !o.NoFuse, o.MaxFuseQubits)
-	v, hit, err := s.cachedCompute(j, s.planCache, cachePlan, key, func() (costed, error) {
-		s.m.templateCompiles.Inc()
-		tpl, err := fuse.Compile(c.Gates, c.NumQubits, !o.NoFuse, fuse.Options{MaxQubits: o.MaxFuseQubits})
-		if err != nil {
-			return nil, err
-		}
-		return &templateEntry{tpl: tpl}, nil
-	})
-	if err != nil {
-		return nil, hit, err
-	}
-	return v.(*templateEntry).tpl, hit, nil
-}
-
-// templateEntryFor returns the cached bound state for (template, binding):
-// the template compiles once per fingerprint, the state once per binding
-// digest, and repeats of the same bound run cost sampling only — the same
-// economics entryFor gives concrete circuits.
-func (s *Service) templateEntryFor(j *job, env map[string]float64) (*cacheEntry, bool, error) {
-	o := j.req.Options
-	key := fmt.Sprintf("tplrun|%s|%s|f=%t mf=%d w=%d",
-		j.req.Circuit.Fingerprint(), circuit.BindingDigest(env), !o.NoFuse, o.MaxFuseQubits, o.Workers)
-	v, hit, err := s.cachedCompute(j, s.cache, cacheState, key, func() (costed, error) {
-		j.trace.Begin(stageCompile)
-		tpl, _, err := s.templateFor(j)
-		if err != nil {
-			return nil, err
-		}
-		s.m.simulations.Inc()
-		j.trace.Begin(stageSimulate)
-		st, err := tpl.Run(env, j.req.Options.Workers)
-		if err != nil {
-			return nil, err
-		}
-		return &cacheEntry{state: st}, nil
-	})
-	if err != nil {
-		return nil, hit, err
-	}
-	return v.(*cacheEntry), hit, nil
-}
-
-// executeParamRun serves KindRun with a bound parameterized circuit on the
-// flat engine: the shared template is specialized for the request's Params
-// and the result is indistinguishable from running the bound concrete
-// circuit.
-func (s *Service) executeParamRun(j *job) (*Result, error) {
-	start := time.Now()
-	s.setBackend(j, j.idealBackend)
-	entry, hit, err := s.templateEntryFor(j, j.req.Params)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Kind: j.req.Kind, Backend: j.idealBackend, NumQubits: entry.state.N,
-		CacheHit: hit,
-		Waited:   j.started.Sub(j.submitted),
-	}
-	j.trace.Begin(stageSample)
-	spec := j.req.Readouts
-	var sampler *sv.Sampler
-	if spec.Shots > 0 {
-		sampler = entry.getSampler()
-	}
-	res.setReadouts(core.EvaluateState(entry.state, sampler, spec))
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
-// executeSweep evaluates a binding grid against one compiled template.
-// Ideal sweeps replay the fused template per point; effective-noise sweeps
-// re-bind one cached trajectory plan and run a full seeded ensemble per
-// point. Result.Sweep.Compiles counts the fusion compiles THIS job caused
-// (0 when the template was already cached), which with a cold cache is
-// exactly 1 for any grid size.
+// executeSweep evaluates a binding grid against the one cached template
+// plan for (template, noise model, fusion options) through
+// core.SweepPlan. Result.Sweep.Compiles counts the plan compiles THIS job
+// caused: 1 on a cold cache for any grid size, 0 once the plan is cached.
 func (s *Service) executeSweep(j *job) (*Result, error) {
 	start := time.Now()
 	req := j.req
-	spec := req.Readouts
-	bindings := req.Sweep.Bindings
-	res := &Result{
-		Kind: KindSweep, NumQubits: req.Circuit.NumQubits,
-		Waited: j.started.Sub(j.submitted),
-	}
-	rep := &core.SweepReport{Points: make([]core.SweepPoint, 0, len(bindings))}
-	var plan *noise.Plan // non-nil under an effective noise model
-	var run noise.RunConfig
 	workers := req.Options.Workers
-	j.trace.Begin(stageCompile)
-	if !req.Noise.IsZero() {
-		// Trajectory-ensemble sweep: widen across the shared token pool
-		// exactly like executeNoisy, then run one seeded ensemble per point
-		// over the shared compiled plan.
+	effective := !req.Noise.IsZero()
+	if effective {
+		// Widen across the shared token pool exactly like executeNoisy.
 		width, release := s.widenTrajectories()
 		defer release()
 		workers = width
-		run = spec.NoisyRunConfig(width)
-		var hit bool
-		var err error
-		if plan, hit, err = s.noisePlanFor(j); err != nil {
-			return nil, err
-		}
-		if !hit {
-			rep.Compiles++
-		}
-		res.CacheHit = hit
-		if !plan.NoiseFree() {
-			s.setBackend(j, BackendTrajectory)
-			res.Backend = BackendTrajectory
-			j.trace.Begin(stageExecute)
-			for i, env := range bindings {
-				if err := j.ctx.Err(); err != nil {
-					return nil, err
-				}
-				sp, err := plan.Specialize(env)
-				if err != nil {
-					return nil, fmt.Errorf("binding %d: %w", i, err)
-				}
-				ens, err := noise.RunEnsemble(j.ctx, sp, run)
-				if err != nil {
-					return nil, err
-				}
-				rep.Trajectories = ens.Trajectories
-				s.m.trajectories.Add(int64(ens.Trajectories))
-				rep.Points = append(rep.Points, core.SweepPoint{Binding: env, Readouts: core.ReadoutsFromEnsemble(ens, spec)})
-			}
-			return finishSweep(res, rep, start), nil
-		}
-		// Zero-effect model: ideal template runs with readout error
-		// applied at sampling, mirroring the concrete-circuit fast path.
 	}
-
-	tpl, hit, err := s.templateFor(j)
+	j.trace.Begin(stageCompile)
+	plan, hit, err := s.noisePlanFor(j)
+	if err != nil {
+		return nil, err
+	}
+	backendName := j.idealBackend
+	if !plan.NoiseFree() {
+		backendName = BackendTrajectory
+	}
+	s.setBackend(j, backendName)
+	j.trace.Begin(stageExecute)
+	rep, err := core.SweepPlan(j.ctx, plan, req.Readouts, req.Sweep.Bindings, workers, effective)
 	if err != nil {
 		return nil, err
 	}
 	if !hit {
-		rep.Compiles++
+		rep.Compiles = 1
 	}
-	if plan == nil {
-		res.CacheHit = hit
-	}
-	s.setBackend(j, j.idealBackend)
-	res.Backend = j.idealBackend
-	rep.TouchedBlocks = tpl.TouchedBlocks()
-	rep.SharedBlocks = len(tpl.Blocks) - tpl.TouchedBlocks()
-	j.trace.Begin(stageExecute)
-	for i, env := range bindings {
-		if err := j.ctx.Err(); err != nil {
-			return nil, err
-		}
-		st, err := tpl.Run(env, workers)
-		if err != nil {
-			return nil, fmt.Errorf("binding %d: %w", i, err)
-		}
-		var ro *core.Readouts
-		if plan == nil {
-			ro = core.EvaluateState(st, nil, spec)
-		} else {
-			ens, err := noise.RunEnsembleFromState(j.ctx, st, plan.Readout(), run)
-			if err != nil {
-				return nil, err
-			}
-			rep.Trajectories = ens.Trajectories
-			ro = core.ReadoutsFromEnsemble(ens, spec)
-		}
-		rep.Points = append(rep.Points, core.SweepPoint{Binding: env, Readouts: ro})
-	}
-	return finishSweep(res, rep, start), nil
-}
-
-// finishSweep attaches the sweep report and its timings to the result.
-func finishSweep(res *Result, rep *core.SweepReport, start time.Time) *Result {
+	s.m.trajectories.Add(int64(rep.Trajectories) * int64(len(rep.Points)))
 	rep.Elapsed = time.Since(start)
-	res.Sweep = rep
-	res.Trajectories = rep.Trajectories
-	res.Elapsed = time.Since(start)
-	return res
+	return &Result{
+		Kind: KindSweep, Backend: backendName, NumQubits: req.Circuit.NumQubits,
+		CacheHit:     hit,
+		Sweep:        rep,
+		Trajectories: rep.Trajectories,
+		Waited:       j.started.Sub(j.submitted),
+		Elapsed:      rep.Elapsed,
+	}, nil
 }
 
 // executeOptimize runs the server-side variational loop. The loop owns its

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -311,5 +312,73 @@ func TestSweepGridExpansion(t *testing.T) {
 	both := &SweepSpec{Bindings: []map[string]float64{{"a": 1}}, Grid: map[string][]float64{"a": {1}}}
 	if _, err := both.Expand(100); err == nil {
 		t.Fatal("bindings+grid accepted")
+	}
+}
+
+// TestSweepLedgerEveryModel: on a cold service, a sweep under any noise
+// model — none, readout error only, depolarizing, or an effective rule
+// that matches no gate — compiles exactly one cached plan, reports that
+// plan's block ledger, and returns the points core.Sweep returns. A
+// repeat sweep compiles nothing.
+func TestSweepLedgerEveryModel(t *testing.T) {
+	c := circuit.QAOAAnsatz(4, 1)
+	spec := core.ReadoutSpec{
+		Shots: 64, Seed: 13, Trajectories: 24,
+		Observables: []core.Observable{{Paulis: "ZZ", Qubits: []int{0, 1}}},
+	}
+	bindings := []map[string]float64{
+		{"gamma0": 0.2, "beta0": 0.4},
+		{"gamma0": -0.5, "beta0": 0.1},
+		{"gamma0": 0.9, "beta0": -0.7},
+	}
+	models := []struct {
+		name  string
+		model *noise.Model
+	}{
+		{"ideal", nil},
+		{"readout-only", noise.NewModel().WithReadout(0.02, 0.01)},
+		{"depolarizing", noise.Global(noise.Depolarizing(0.01))},
+		{"absent-gate", noise.OnGates(noise.Depolarizing(0.01), "cz")},
+	}
+	for _, tc := range models {
+		s := newTest(t, Config{Workers: 2})
+		req := Request{
+			Circuit: c, Kind: KindSweep, Readouts: spec, Noise: tc.model,
+			Sweep: &SweepSpec{Bindings: bindings},
+		}
+		res, err := s.Do(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		plan, err := noise.Compile(c, tc.model, noise.CompileOptions{Fuse: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw := res.Sweep
+		if sw.Compiles != 1 || sw.TouchedBlocks <= 0 || sw.TouchedBlocks+sw.SharedBlocks != plan.Blocks() {
+			t.Fatalf("%s: compiles=%d touched=%d shared=%d, want 1, >0, sum %d",
+				tc.name, sw.Compiles, sw.TouchedBlocks, sw.SharedBlocks, plan.Blocks())
+		}
+		if st := s.Stats(); st.TemplateCompiles != 1 || st.PlanCacheEntries != 1 {
+			t.Fatalf("%s: template_compiles=%d plan_cache_entries=%d, want 1 and 1",
+				tc.name, st.TemplateCompiles, st.PlanCacheEntries)
+		}
+		want, err := core.Sweep(c, core.Options{Noise: tc.model}, spec, bindings)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range sw.Points {
+			if !reflect.DeepEqual(p, want.Points[i]) {
+				t.Fatalf("%s point %d: service %+v, core.Sweep %+v", tc.name, i, p.Readouts, want.Points[i].Readouts)
+			}
+		}
+		again, err := s.Do(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.Sweep.Compiles != 0 || s.Stats().TemplateCompiles != 1 {
+			t.Fatalf("%s: repeat sweep compiles=%d template_compiles=%d, want 0 and still 1",
+				tc.name, again.Sweep.Compiles, s.Stats().TemplateCompiles)
+		}
 	}
 }

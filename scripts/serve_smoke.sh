@@ -272,6 +272,31 @@ if [ "$((TC_AFTER - TC_BEFORE))" != 1 ]; then
     exit 1
 fi
 
+# The same template under a depolarizing model is its own cached plan:
+# exactly one more template compile, and a block ledger taken from it.
+NSWID="$(curl -fsS "$BASE/v1/jobs" -d '{
+    "circuit": {"qasm": "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\nrz(gamma) q[0];\nrx(beta) q[1];\n"},
+    "kind": "sweep",
+    "noise": {"rules": [{"channel": "depolarizing", "p": 0.01}]},
+    "readouts": {"observables": [{"name": "zz01", "paulis": "ZZ", "qubits": [0, 1]}], "trajectories": 32},
+    "sweep": {"grid": {"gamma": [0.1, 0.2, 0.3], "beta": [0.4, 0.5]}}
+}' | jq -r .id)"
+NSWRES="$(curl -fsS "$BASE/v1/jobs/$NSWID/result?wait=30s")"
+NSWSTATUS="$(printf '%s' "$NSWRES" | jq -r .status)"
+NSWPTS="$(printf '%s' "$NSWRES" | jq '.result.sweep.points | length')"
+NSWCOMP="$(printf '%s' "$NSWRES" | jq '.result.sweep.compiles')"
+NSWTOUCHED="$(printf '%s' "$NSWRES" | jq '.result.sweep.touched_blocks')"
+if [ "$NSWSTATUS" != done ] || [ "$NSWPTS" != 6 ] || [ "$NSWCOMP" != 1 ] || [ "$NSWTOUCHED" -le 0 ]; then
+    echo "serve-smoke: noisy sweep job wrong (status=$NSWSTATUS points=$NSWPTS compiles=$NSWCOMP touched=$NSWTOUCHED)" >&2
+    printf '%s\n' "$NSWRES" >&2
+    exit 1
+fi
+TC_NOISY="$(curl -fsS "$BASE/v1/stats" | jq .template_compiles)"
+if [ "$((TC_NOISY - TC_AFTER))" != 1 ]; then
+    echo "serve-smoke: noisy 6-point sweep cost $((TC_NOISY - TC_AFTER)) template compiles, want 1" >&2
+    exit 1
+fi
+
 # Binding validation is a 400 at submit: running the same template with
 # only gamma bound must be rejected naming the unbound symbol.
 UBODY="$(mktemp)"
@@ -365,4 +390,4 @@ if ! wait "$PID"; then
     exit 1
 fi
 trap - EXIT
-echo "serve-smoke: OK (backends listing, readyz, submit, poll, sample, cache hit, multi-readout run, v1-kind 400, noisy ensemble, exact dm run, capability 400s, parameterized sweep, unbound-symbol 400, /metrics scrape, stage trace, kernel profile, graceful shutdown)"
+echo "serve-smoke: OK (backends listing, readyz, submit, poll, sample, cache hit, multi-readout run, v1-kind 400, noisy ensemble, exact dm run, capability 400s, parameterized sweep, noisy sweep, unbound-symbol 400, /metrics scrape, stage trace, kernel profile, graceful shutdown)"
