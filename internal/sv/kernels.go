@@ -2,15 +2,21 @@ package sv
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hisvsim/internal/gate"
 	"hisvsim/internal/prof"
 )
 
 // ApplyGate applies one (possibly controlled) gate to the state, selecting
-// the fastest kernel: diagonal phase sweep, dedicated 1-/2-target paths, or
-// the general k-target gather/scatter kernel. Control qubits are handled
-// structurally (never materialized into a bigger matrix).
+// the fastest kernel: a diagonal phase sweep, the swap exchange, the
+// 1-target kernel, or the general k-target gather/scatter kernel. Control
+// qubits are handled structurally (never materialized into a bigger
+// matrix). The 1-target kernel (uncontrolled or under one control) and the
+// diagonal kernel for gates pinning two bits (cz, cp, crz, rzz) visit only
+// the amplitudes they change and walk them in contiguous runs below the
+// lowest pinned bit, expanding one index per run; when that run is shorter
+// than minRun amplitudes they keep a per-amplitude loop.
 func (s *State) ApplyGate(g gate.Gate) error {
 	for _, q := range g.Qubits {
 		if q < 0 || q >= s.N {
@@ -106,7 +112,9 @@ func diagonalOf(g gate.Gate) ([]complex128, bool) {
 }
 
 // applyDiagonal multiplies each amplitude whose control bits are all set by
-// the diagonal entry selected by its target bits.
+// the diagonal entry selected by its target bits. Gates that pin exactly two
+// bits (cz, cp, crz, rzz) take applyDiagonal2; wider multi-controlled forms
+// keep the per-amplitude test.
 func (s *State) applyDiagonal(targets []int, ctrlMask int, d []complex128) {
 	// Fast path: single target, no controls.
 	if len(targets) == 1 && ctrlMask == 0 {
@@ -122,6 +130,14 @@ func (s *State) applyDiagonal(targets []int, ctrlMask int, d []complex128) {
 				}
 			}
 		})
+		return
+	}
+	pinned := ctrlMask
+	for _, t := range targets {
+		pinned |= 1 << uint(t)
+	}
+	if bits.OnesCount(uint(pinned)) == 2 {
+		s.applyDiagonal2(targets, ctrlMask, pinned, d)
 		return
 	}
 	s.parallelFor(len(s.Amps), func(lo, hi int) {
@@ -141,22 +157,96 @@ func (s *State) applyDiagonal(targets []int, ctrlMask int, d []complex128) {
 	})
 }
 
+// applyDiagonal2 is the diagonal kernel for gates pinning two bits: two
+// targets (rzz, 4 entries) or one target under one control (cz, cp, crz, 2
+// entries, applied only where the control is set). It walks the quarter of
+// free indices and scales each entry's contiguous run below the lower
+// pinned bit.
+func (s *State) applyDiagonal2(targets []int, ctrlMask, pinned int, d []complex128) {
+	m0, m1 := pinMasks(bits.TrailingZeros(uint(pinned)), bits.Len(uint(pinned))-1)
+	run := m0 + 1
+	b0, b1 := 1<<uint(targets[0]), 0
+	d0, d1, d2, d3 := d[0], d[1], complex128(0), complex128(0)
+	if len(targets) == 2 {
+		b1 = 1 << uint(targets[1])
+		d2, d3 = d[2], d[3]
+	}
+	dim := len(d)
+	s.parallelFor(len(s.Amps)>>2, func(from, to int) {
+		offs := [4]int{0, b0, b1, b0 | b1}
+		dg := [4]complex128{d0, d1, d2, d3}
+		amps := s.Amps
+		if run < minRun {
+			for f := from; f < to; f++ {
+				i := insert2(f, m0, m1) | ctrlMask
+				for e := 0; e < dim; e++ {
+					amps[i+offs[e]] *= dg[e]
+				}
+			}
+			return
+		}
+		for f := from; f < to; {
+			l := min(to-f, run-f&m0)
+			scaleRuns(amps, insert2(f, m0, m1)|ctrlMask, l, offs[:dim], dg[:dim])
+			f += l
+		}
+	})
+}
+
+// scaleRuns multiplies the l-amplitude run starting at base+offs[e] by d[e],
+// for every entry e.
+func scaleRuns(amps []complex128, base, l int, offs []int, d []complex128) {
+	for e, o := range offs {
+		x := amps[base+o:][:l]
+		c := d[e]
+		for j := range x {
+			x[j] *= c
+		}
+	}
+}
+
 // insertBit returns f with a zero bit inserted at position p.
 func insertBit(f, p int) int {
 	low := f & ((1 << uint(p)) - 1)
 	return ((f &^ ((1 << uint(p)) - 1)) << 1) | low
 }
 
-// apply1 applies a 2x2 unitary to one target with an optional control mask.
+// pinMasks returns the masks insert2 uses to insert zero bits at the
+// positions lo < hi: m0 covers the free bits below lo, m1 those between.
+func pinMasks(lo, hi int) (m0, m1 int) {
+	m0 = 1<<uint(lo) - 1
+	return m0, (1<<uint(hi-1) - 1) &^ m0
+}
+
+// insert2 is insertBit(insertBit(f, lo), hi) with the masks of
+// pinMasks(lo, hi) precomputed: constant shifts, no per-call mask
+// arithmetic.
+func insert2(f, m0, m1 int) int {
+	return f&m0 | (f&m1)<<1 | (f&^(m0|m1))<<2
+}
+
+// minRun is the shortest contiguous run the kernels walk as a block. Below
+// it the per-run bookkeeping costs more than the index expansions it saves,
+// so each kernel keeps its per-amplitude loop.
+const minRun = 8
+
+// apply1 applies a 2x2 matrix to one target with an optional control mask.
+// Uncontrolled and single-control forms walk contiguous runs below their
+// lowest pinned bit (one index expansion per run); a single control pins
+// its bit to 1, so only the quarter of the state it selects is visited.
 func (s *State) apply1(t, ctrlMask int, m gate.Matrix) {
 	m00, m01, m10, m11 := m.At(0, 0), m.At(0, 1), m.At(1, 0), m.At(1, 1)
 	tbit := 1 << uint(t)
-	if ctrlMask == 0 {
-		half := len(s.Amps) >> 1
-		s.parallelFor(half, func(lo, hi int) {
+	if ctrlMask&(ctrlMask-1) != 0 {
+		// Several controls: sweep pairs, act only when all are set. (The
+		// control bits are disjoint from the target bit by gate validation.)
+		s.parallelFor(len(s.Amps)>>1, func(lo, hi int) {
 			amps := s.Amps
 			for f := lo; f < hi; f++ {
 				i0 := insertBit(f, t)
+				if i0&ctrlMask != ctrlMask {
+					continue
+				}
 				i1 := i0 | tbit
 				a0, a1 := amps[i0], amps[i1]
 				amps[i0] = m00*a0 + m01*a1
@@ -165,20 +255,38 @@ func (s *State) apply1(t, ctrlMask int, m gate.Matrix) {
 		})
 		return
 	}
-	// Controlled: sweep pairs, act only when controls are set. (The control
-	// bits are disjoint from the target bit by gate validation.)
-	half := len(s.Amps) >> 1
-	s.parallelFor(half, func(lo, hi int) {
+	// With m1 covering every bit above t, insert2 inserts the target bit
+	// alone; a single control narrows the sweep to the quarter it selects.
+	free := len(s.Amps) >> 1
+	m0, m1 := tbit-1, ^(tbit - 1)
+	if ctrlMask != 0 {
+		c := bits.TrailingZeros(uint(ctrlMask))
+		m0, m1 = pinMasks(min(t, c), max(t, c))
+		free >>= 1
+	}
+	run := m0 + 1
+	s.parallelFor(free, func(lo, hi int) {
 		amps := s.Amps
-		for f := lo; f < hi; f++ {
-			i0 := insertBit(f, t)
-			if i0&ctrlMask != ctrlMask {
-				continue
+		if run < minRun {
+			for f := lo; f < hi; f++ {
+				i0 := insert2(f, m0, m1) | ctrlMask
+				i1 := i0 | tbit
+				a0, a1 := amps[i0], amps[i1]
+				amps[i0] = m00*a0 + m01*a1
+				amps[i1] = m10*a0 + m11*a1
 			}
-			i1 := i0 | tbit
-			a0, a1 := amps[i0], amps[i1]
-			amps[i0] = m00*a0 + m01*a1
-			amps[i1] = m10*a0 + m11*a1
+			return
+		}
+		for f := lo; f < hi; {
+			l := min(hi-f, run-f&m0)
+			i0 := insert2(f, m0, m1) | ctrlMask
+			x0, x1 := amps[i0:][:l], amps[i0+tbit:][:l]
+			for j, a0 := range x0 {
+				a1 := x1[j]
+				x0[j] = m00*a0 + m01*a1
+				x1[j] = m10*a0 + m11*a1
+			}
+			f += l
 		}
 	})
 }

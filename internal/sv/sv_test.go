@@ -16,9 +16,13 @@ const eps = 1e-9
 // naiveApply is an independent dense reference: embeds the gate's FullMatrix
 // explicitly. Quadratic, for cross-checking kernels only.
 func naiveApply(s *State, g gate.Gate) *State {
-	m := g.FullMatrix()
-	k := g.Arity()
-	qs := g.Qubits
+	return naiveMatrix(s, g.Qubits, g.FullMatrix())
+}
+
+// naiveMatrix applies the 2^k×2^k matrix m to the listed qubits (qs[j] is
+// bit j of the matrix index) by gathering each 2^k subvector.
+func naiveMatrix(s *State, qs []int, m gate.Matrix) *State {
+	k := len(qs)
 	out := s.Clone()
 	var mask int
 	for _, q := range qs {
@@ -100,9 +104,13 @@ func TestNewStateRaw(t *testing.T) {
 	NewStateRaw(make([]complex128, 6))
 }
 
+// TestKernelsMatchNaive checks every gate kind against the naive reference
+// on a 4-qubit register and on a 10-qubit one with targets and controls on
+// both sides of bit 3, where the kernels switch from their per-amplitude
+// loop (runs of 1, 2 or 4 amplitudes) to walking contiguous runs.
 func TestKernelsMatchNaive(t *testing.T) {
 	th, ph, la := 0.83, -0.31, 1.94
-	gates := []gate.Gate{
+	small := []gate.Gate{
 		gate.H(0), gate.X(2), gate.Y(1), gate.Z(3), gate.S(0), gate.T(2),
 		gate.SX(1), gate.RX(th, 0), gate.RY(th, 3), gate.RZ(th, 1),
 		gate.P(la, 2), gate.U2(ph, la, 0), gate.U3(th, ph, la, 3),
@@ -114,36 +122,62 @@ func TestKernelsMatchNaive(t *testing.T) {
 		gate.MCX([]int{0, 1, 2}, 3), gate.MCZ([]int{3, 1}, 0),
 		gate.MCP(la, []int{2, 0}, 1),
 	}
-	for _, g := range gates {
-		s := randomState(4, 42)
-		want := naiveApply(s, g)
-		if err := s.ApplyGate(g); err != nil {
-			t.Fatalf("%s: %v", g, err)
-		}
-		if !s.EqualTol(want, 1e-9) {
-			t.Errorf("%s: kernel disagrees with naive reference", g)
+	var wide []gate.Gate
+	for _, q := range []int{0, 2, 3, 5, 9} {
+		wide = append(wide, gate.H(q), gate.X(q), gate.Y(q), gate.Z(q),
+			gate.S(q), gate.Sdg(q), gate.T(q), gate.Tdg(q), gate.SX(q),
+			gate.RX(th, q), gate.RY(th, q), gate.RZ(th, q), gate.P(la, q),
+			gate.U2(ph, la, q), gate.U3(th, ph, la, q))
+	}
+	for _, pr := range [][2]int{{0, 1}, {1, 0}, {2, 7}, {7, 2}, {3, 9}, {9, 3}, {5, 8}, {8, 5}, {0, 9}, {4, 3}} {
+		a, b := pr[0], pr[1]
+		wide = append(wide, gate.CX(a, b), gate.CY(a, b), gate.CZ(a, b),
+			gate.CH(a, b), gate.CP(la, a, b), gate.CRX(th, a, b),
+			gate.CRY(th, a, b), gate.CRZ(th, a, b), gate.CU3(th, ph, la, a, b),
+			gate.SWAP(a, b), gate.RZZ(th, a, b))
+	}
+	for _, tr := range [][3]int{{0, 1, 2}, {9, 4, 1}, {3, 6, 8}, {8, 0, 5}} {
+		a, b, c := tr[0], tr[1], tr[2]
+		wide = append(wide, gate.CCX(a, b, c), gate.CSWAP(a, b, c),
+			gate.MCX([]int{a, b}, c), gate.MCZ([]int{a, c}, b),
+			gate.MCP(la, []int{c, b}, a))
+	}
+	wide = append(wide, gate.MCX([]int{0, 4, 9}, 6), gate.MCP(la, []int{3, 5, 7}, 1))
+	for n, gates := range map[int][]gate.Gate{4: small, 10: wide} {
+		for _, g := range gates {
+			s := randomState(n, 42)
+			want := naiveApply(s, g)
+			if err := s.ApplyGate(g); err != nil {
+				t.Fatalf("%s: %v", g, err)
+			}
+			if !s.EqualTol(want, 1e-12) {
+				t.Errorf("n=%d %s: kernel disagrees with naive reference", n, g)
+			}
 		}
 	}
 }
 
 func TestKernelsParallelPathMatchesSerial(t *testing.T) {
-	// Exceed parallelThreshold so the goroutine sweep runs.
-	n := 15
+	// Exceed parallelThreshold so the goroutine sweep runs; three workers
+	// split every sweep into uneven chunks that cut contiguous runs
+	// mid-way.
+	n := 16
 	c := circuit.Random(n, 40, 7)
-	serial, err := func() (*State, error) {
+	apply := func(workers int) *State {
 		s := NewState(n)
-		s.Workers = 1
-		return s, s.ApplyCircuit(c)
-	}()
-	if err != nil {
-		t.Fatal(err)
+		s.Workers = workers
+		if err := s.ApplyCircuit(c); err != nil {
+			t.Fatal(err)
+		}
+		for k, qs := range [][]int{{9}, {4, 11}, {0, 5}, {3, 8, 15}} {
+			p := PrepareFused(n, qs)
+			s.ApplyFusedPlan(p, randomMatrix(len(qs), int64(k)))
+			s.ApplyFusedDiagonalPlan(p, randomDiag(len(qs), int64(k)))
+		}
+		return s
 	}
-	par := NewState(n)
-	par.Workers = 4
-	if err := par.ApplyCircuit(c); err != nil {
-		t.Fatal(err)
-	}
-	if !par.EqualTol(serial, 1e-9) {
+	serial := apply(1)
+	if !apply(3).EqualTol(serial, 1e-9) {
 		t.Fatal("parallel sweep diverged from serial")
 	}
 }
